@@ -10,7 +10,6 @@ verdicts.
 from .bitseq import (
     BitSeq,
     PositionError,
-    bit_at,
     complement,
     dyadic_bounds,
     eq_prefix,

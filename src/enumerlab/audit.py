@@ -6,7 +6,7 @@ finite pass is never extrapolated to an infinite conclusion: Verified means
 "no counterexample within the examined range", nothing more.
 
 Witnesses are plain dicts built from public module operations, so a report
-consumer can revalidate them with entry / bit_at / eq_prefix alone.
+consumer can revalidate them with entry, BitSeq.bit_at and eq_prefix alone.
 
 Claim ids:
   C1  tree-to-grid projection is injective across levels
@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import bitseq, diagonal, listmatrix, pairing, tree
-from .budget import check_budget
+from .budget import BudgetError, check_budget
 
 __all__ = [
     "VERIFIED",
@@ -262,7 +262,7 @@ def _claim_c9(depth: int) -> tuple[str, list]:
             sample.append(_disagreement_witness(r, pos))
     witnesses = sample + [_disagreement_witness(max_row, max_position)]
     for w in witnesses:
-        seq = listmatrix.row_seq(w["row"])
+        seq = bitseq.nat_row(w["row"])
         if seq.bit_at(w["position"]) != w["row_bit"] or all_ones.bit_at(
             w["position"]
         ) != w["ones_bit"]:
@@ -375,14 +375,16 @@ def run_all(depth: int) -> list[ClaimReport]:
     """Run every claim in catalog order.
 
     A claim whose depth exceeds the budget becomes a not-finitely-checkable
-    entry (with the failure recorded as a witness note) rather than
-    aborting the batch.
+    entry (with the BudgetError recorded as an "error" witness) rather than
+    aborting the batch.  Every other exception propagates: a negative depth,
+    a malformed ENUMERLAB_BUDGET or an internal fault must not pass for a
+    verdict.
     """
     reports = []
     for claim_id in CLAIM_IDS:
         try:
             reports.append(run_claim(claim_id, depth))
-        except Exception as exc:
+        except BudgetError as exc:
             anchor, _ = _CLAIMS[claim_id]
             reports.append(
                 ClaimReport(

@@ -25,8 +25,6 @@ __all__ = [
     "nat_row",
     "prepend",
     "complement",
-    "from_rule",
-    "bit_at",
     "prefix",
     "dyadic_bounds",
     "eq_prefix",
@@ -120,21 +118,6 @@ def complement(s: BitSeq) -> BitSeq:
     return BitSeq(
         lambda i: 1 - s.bit_at(i), description=f"complement({s.description})"
     )
-
-
-def from_rule(
-    rule: Callable[[int], int],
-    *,
-    eventually_zero_bound: int | None = None,
-    description: str = "bitseq",
-) -> BitSeq:
-    return BitSeq(
-        rule, eventually_zero_bound=eventually_zero_bound, description=description
-    )
-
-
-def bit_at(s: BitSeq, i: int) -> int:
-    return s.bit_at(i)
 
 
 def prefix(s: BitSeq, n: int) -> str:

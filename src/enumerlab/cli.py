@@ -2,7 +2,8 @@
 
 Subcommands: pair, tree, matrix, diag, audit, fig.  Exit status: 0 success,
 1 when an audit run contains a refuted claim (still a successful run), 2 on
-usage errors, 3 on depth/budget errors.  Output is byte-deterministic for
+usage errors (a negative count or depth, a malformed ENUMERLAB_BUDGET
+included), 3 on depth/budget errors.  Output is byte-deterministic for
 fixed inputs; audit JSON includes an elapsed_ms field that golden
 comparisons must exclude.
 """
@@ -16,43 +17,12 @@ import sys
 from . import audit, bitseq, diagonal, dsl, figures, listmatrix, pairing, tree
 from .budget import BudgetError
 
-__all__ = ["build_parser", "dispatch", "main", "COVERED_OPERATIONS"]
+__all__ = ["build_parser", "dispatch", "main"]
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-# subcommand -> public operations it reaches; the coverage test checks that
-# every primary operation appears somewhere in this table
-COVERED_OPERATIONS = {
-    "pair encode": ["pairing.zigzag_encode"],
-    "pair decode": ["pairing.zigzag_decode"],
-    "pair level": ["pairing.level_pairs", "pairing.node_to_pair", "pairing.pair_to_node"],
-    "pair rowlabel": ["pairing.row_label"],
-    "tree paths": ["tree.paths_at_depth", "tree.path_to_addr", "tree.children"],
-    "tree count": ["tree.node_count"],
-    "matrix entry": ["listmatrix.entry"],
-    "matrix row": ["listmatrix.row_seq", "bitseq.prefix", "bitseq.bit_at"],
-    "matrix submatrix": ["listmatrix.submatrix_rows"],
-    "matrix labels": ["listmatrix.figure6_enumeration"],
-    "diag apply": [
-        "dsl.parse",
-        "dsl.eval_enum",
-        "dsl.eval_seq",
-        "diagonal.antidiagonal",
-        "diagonal.insert",
-        "diagonal.split",
-        "diagonal.interleave",
-        "bitseq.complement",
-        "bitseq.dyadic_bounds",
-        "bitseq.eq_prefix",
-        "tree.prefix_chain",
-    ],
-    "diag cert": ["diagonal.certificates", "diagonal.check_certificate"],
-    "audit": ["audit.run_claim", "audit.run_all"],
-    "fig": ["figures.render_figure"],
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,6 +117,12 @@ class _UsageError(Exception):
     pass
 
 
+def _check_count(name: str, value: int) -> None:
+    """A number of items to print must be a natural number."""
+    if value < 0:
+        raise _UsageError(f"{name} must be >= 0, got {value}")
+
+
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -163,8 +139,6 @@ def _run_pair(args) -> int:
         print(f"{p.m} {p.n}")
     elif args.action == "level":
         for p in pairing.level_pairs(args.k, args.budget):
-            addr = pairing.pair_to_node(p)
-            assert addr is not None and pairing.node_to_pair(addr) == p
             print(f"{p.m} {p.n}")
     elif args.action == "rowlabel":
         print(pairing.row_label(args.i))
@@ -184,14 +158,14 @@ def _run_matrix(args) -> int:
     if args.action == "entry":
         print(listmatrix.entry(args.r, args.c))
     elif args.action == "row":
-        print(bitseq.prefix(listmatrix.row_seq(args.r), args.prefix))
+        print(bitseq.prefix(bitseq.nat_row(args.r), args.prefix))
     elif args.action == "submatrix":
         for row in sorted(listmatrix.submatrix_rows(args.i, args.budget)):
             print(row)
     elif args.action == "labels":
-        labeled = listmatrix.figure6_enumeration()
+        _check_count("n", args.n)
         for i in range(args.n):
-            print(labeled.label(i))
+            print(pairing.row_label(i))
     return EXIT_OK
 
 
@@ -205,6 +179,7 @@ def _program_enumeration(text: str) -> diagonal.Enumeration:
 
 
 def _run_diag(args) -> int:
+    _check_count("--rows", args.rows)
     text = _load_program(args)
     try:
         E = _program_enumeration(text)
@@ -219,7 +194,8 @@ def _run_diag(args) -> int:
     certs = diagonal.certificates(E, args.rows)
     x = diagonal.antidiagonal(E)
     for cert in certs:
-        assert diagonal.check_certificate(E, x, cert)
+        if not diagonal.check_certificate(E, x, cert):
+            raise RuntimeError(f"certificate failed revalidation: {cert}")
     if args.format == "json":
         payload = [
             {

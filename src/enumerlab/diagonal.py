@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .bitseq import BitSeq, from_rule
+from .bitseq import BitSeq
 
 __all__ = [
     "Enumeration",
@@ -47,9 +47,6 @@ class Enumeration:
         if i < 0:
             raise ValueError(f"row indices are 0-based naturals, got {i}")
         return self._rule(i)
-
-    def __call__(self, i: int) -> BitSeq:
-        return self.row(i)
 
     def __repr__(self) -> str:
         return f"Enumeration({self.description})"
@@ -81,7 +78,7 @@ def constant(s: BitSeq) -> Enumeration:
 def antidiagonal(E: Enumeration) -> BitSeq:
     """The sequence x with bit j = 1 - (bit j of row j-1): differs from
     every row of E at the paired diagonal position."""
-    return from_rule(
+    return BitSeq(
         lambda j: 1 - E.row(j - 1).bit_at(j),
         description=f"antidiagonal({E.description})",
     )

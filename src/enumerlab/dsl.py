@@ -29,6 +29,7 @@ type (sequence expression where an enumeration is required, or vice versa).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import bitseq, diagonal, listmatrix
 from .bitseq import BitSeq
@@ -48,27 +49,50 @@ __all__ = [
     "eval_enum",
 ]
 
-# kind -> argument signature ("bits", "nat", "seq", "enum")
-_SEQ_SIGS: dict[str, tuple[str, ...]] = {
-    "zeros": (),
-    "ones": (),
-    "periodic": ("bits",),
-    "natrow": ("nat",),
-    "prepend": ("bits", "seq"),
-    "compl": ("seq",),
-    "diagc": ("enum",),
-}
-_ENUM_SIGS: dict[str, tuple[str, ...]] = {
-    "figure5": (),
-    "const": ("seq",),
-    "interleave": ("enum", "enum"),
-    "spliteven": ("enum",),
-    "splitodd": ("enum",),
-    "insert": ("enum", "nat", "seq"),
+_TYPENAME = {"seq": "sequence", "enum": "enumeration"}
+
+
+class _Op:
+    """One operator: the type of value it denotes ("seq" or "enum"), its
+    argument signature over "bits", "nat", "seq" and "enum", and its
+    constructor, called as build(literal, *evaluated subexpressions)."""
+
+    __slots__ = ("type", "sig", "operands", "build")
+
+    def __init__(self, type_: str, sig: tuple[str, ...], build: Callable):
+        self.type = type_
+        self.sig = sig
+        # the types of the subexpression arguments, in order
+        self.operands = tuple(arg for arg in sig if arg in _TYPENAME)
+        self.build = build
+
+
+# The constructors look their target up at call time (bitseq.zeros, not a
+# bound copy), so a module attribute rebound at run time, by a tracer or a
+# test, is seen by every evaluation.
+_OPS: dict[str, _Op] = {
+    "zeros": _Op("seq", (), lambda value: bitseq.zeros()),
+    "ones": _Op("seq", (), lambda value: bitseq.ones()),
+    "periodic": _Op("seq", ("bits",), lambda value: bitseq.periodic(value)),
+    "natrow": _Op("seq", ("nat",), lambda value: bitseq.nat_row(value)),
+    "prepend": _Op("seq", ("bits", "seq"), lambda value, s: bitseq.prepend(value, s)),
+    "compl": _Op("seq", ("seq",), lambda value, s: bitseq.complement(s)),
+    "diagc": _Op("seq", ("enum",), lambda value, E: diagonal.antidiagonal(E)),
+    "figure5": _Op("enum", (), lambda value: listmatrix.matrix_enumeration()),
+    "const": _Op("enum", ("seq",), lambda value, s: diagonal.constant(s)),
+    "interleave": _Op(
+        "enum", ("enum", "enum"), lambda value, Ea, Eb: diagonal.interleave(Ea, Eb)
+    ),
+    "spliteven": _Op("enum", ("enum",), lambda value, E: diagonal.split(E)[0]),
+    "splitodd": _Op("enum", ("enum",), lambda value, E: diagonal.split(E)[1]),
+    "insert": _Op(
+        "enum", ("enum", "nat", "seq"), lambda value, E, s: diagonal.insert(E, value, s)
+    ),
 }
 
-SEQ_KINDS = frozenset(_SEQ_SIGS)
-ENUM_KINDS = frozenset(_ENUM_SIGS)
+SEQ_KINDS = frozenset(k for k, op in _OPS.items() if op.type == "seq")
+ENUM_KINDS = frozenset(k for k, op in _OPS.items() if op.type == "enum")
+_KINDS = {"seq": SEQ_KINDS, "enum": ENUM_KINDS}
 
 
 @dataclass(frozen=True)
@@ -200,33 +224,31 @@ class _Parser:
         return tok
 
     def parse_expr(self, want: str) -> Ast:
-        """Parse one expression of type `want` ("seq" or "enum")."""
-        sigs = _SEQ_SIGS if want == "seq" else _ENUM_SIGS
-        others = _ENUM_SIGS if want == "seq" else _SEQ_SIGS
+        """Parse one expression of type `want` ("seq" or "enum").  Nested
+        arguments recurse straight back into parse_expr, one frame per
+        nesting level."""
+        kinds = _KINDS[want]
         tok = self._next()
         if tok.kind != "name":
             self._fail(
                 tok,
-                f"expected a {self._typename(want)} expression, "
+                f"expected a {_TYPENAME[want]} expression, "
                 f"found {tok.text or 'end of input'!r}",
-                expected=frozenset(sigs),
+                expected=kinds,
             )
         name = tok.text
-        if name in others:
+        op = _OPS.get(name)
+        if op is None:
+            self._fail(tok, f"unknown operator {name!r}", expected=kinds)
+        if op.type != want:
             self._fail(
                 tok,
-                f"{name!r} is an {self._typename(_other(want))} operator, "
-                f"but a {self._typename(want)} expression is required here",
-                expected=frozenset(sigs),
+                f"{name!r} is an {_TYPENAME[op.type]} operator, "
+                f"but a {_TYPENAME[want]} expression is required here",
+                expected=kinds,
                 error_class="type",
             )
-        if name not in sigs:
-            self._fail(
-                tok,
-                f"unknown operator {name!r}",
-                expected=frozenset(sigs),
-            )
-        sig = sigs[name]
+        sig = op.sig
         if not sig:
             return Ast(name, span=self._span(tok, tok.offset + len(tok.text)))
         self._expect("lparen", "(")
@@ -236,65 +258,20 @@ class _Parser:
             if idx > 0:
                 sep = self._next()
                 if sep.kind == "rparen":
-                    self._fail(
-                        sep,
-                        f"too few arguments to {name!r}: expected "
-                        f"{len(sig)}, got {idx}",
-                        expected=frozenset({","}),
-                        error_class="arity",
-                    )
+                    self._too_few(sep, name, sig, idx, ",")
                 if sep.kind != "comma":
                     self._fail(
                         sep,
                         f"expected ',', found {sep.text!r}",
                         expected=frozenset({","}),
                     )
-            if arg in ("seq", "enum"):
-                nxt = self._peek()
-                if nxt.kind == "rparen":
-                    self._fail(
-                        nxt,
-                        f"too few arguments to {name!r}: expected "
-                        f"{len(sig)}, got {idx}",
-                        expected=frozenset({arg}),
-                        error_class="arity",
-                    )
+            nxt = self._peek()
+            if nxt.kind == "rparen":
+                self._too_few(nxt, name, sig, idx, arg)
+            if arg in _TYPENAME:
                 children.append(self.parse_expr(arg))
-            elif arg == "bits":
-                lit = self._next()
-                if lit.kind == "rparen":
-                    self._fail(
-                        lit,
-                        f"too few arguments to {name!r}: expected "
-                        f"{len(sig)}, got {idx}",
-                        expected=frozenset({"bits"}),
-                        error_class="arity",
-                    )
-                if lit.kind != "digits" or set(lit.text) - {"0", "1"}:
-                    self._fail(
-                        lit,
-                        f"expected a bit string, found {lit.text or 'end of input'!r}",
-                        expected=frozenset({"bits"}),
-                    )
-                value = lit.text
-            else:  # nat
-                lit = self._next()
-                if lit.kind == "rparen":
-                    self._fail(
-                        lit,
-                        f"too few arguments to {name!r}: expected "
-                        f"{len(sig)}, got {idx}",
-                        expected=frozenset({"nat"}),
-                        error_class="arity",
-                    )
-                if lit.kind != "digits":
-                    self._fail(
-                        lit,
-                        f"expected a natural number, found "
-                        f"{lit.text or 'end of input'!r}",
-                        expected=frozenset({"nat"}),
-                    )
-                value = int(lit.text)
+            else:
+                value = self._literal(arg)
         closer = self._next()
         if closer.kind == "comma":
             self._fail(
@@ -312,12 +289,28 @@ class _Parser:
         end = closer.offset + 1
         return Ast(name, tuple(children), value, self._span(tok, end))
 
+    def _too_few(self, tok, name, sig, given, expected):
+        self._fail(
+            tok,
+            f"too few arguments to {name!r}: expected {len(sig)}, got {given}",
+            expected=frozenset({expected}),
+            error_class="arity",
+        )
+
+    def _literal(self, arg: str) -> int | str:
+        """Consume a "bits" literal (kept as its text) or a "nat" one."""
+        lit = self._next()
+        if lit.kind != "digits" or (arg == "bits" and set(lit.text) - {"0", "1"}):
+            what = "a bit string" if arg == "bits" else "a natural number"
+            self._fail(
+                lit,
+                f"expected {what}, found {lit.text or 'end of input'!r}",
+                expected=frozenset({arg}),
+            )
+        return lit.text if arg == "bits" else int(lit.text)
+
     def _span(self, head: _Token, end_offset: int) -> Span:
         return Span(head.line, head.column, end_offset - head.offset)
-
-    @staticmethod
-    def _typename(want: str) -> str:
-        return "sequence" if want == "seq" else "enumeration"
 
     def finish(self, ast: Ast) -> Ast:
         tok = self._peek()
@@ -328,10 +321,6 @@ class _Parser:
                 expected=frozenset({"end of input"}),
             )
         return ast
-
-
-def _other(want: str) -> str:
-    return "enum" if want == "seq" else "seq"
 
 
 def parse_seq(text: str) -> Ast:
@@ -354,72 +343,49 @@ def parse(text: str) -> Ast:
     """
     p = _Parser(text)
     head = p._peek()
-    if head.kind == "name" and head.text in ENUM_KINDS:
-        return p.finish(p.parse_expr("enum"))
-    if head.kind == "name" and head.text in SEQ_KINDS:
-        return p.finish(p.parse_expr("seq"))
-    p._fail(
-        head,
-        f"expected an expression, found {head.text or 'end of input'!r}",
-        expected=SEQ_KINDS | ENUM_KINDS,
-    )
+    op = _OPS.get(head.text) if head.kind == "name" else None
+    if op is None:
+        p._fail(
+            head,
+            f"expected an expression, found {head.text or 'end of input'!r}",
+            expected=SEQ_KINDS | ENUM_KINDS,
+        )
+    return p.finish(p.parse_expr(op.type))
 
 
 def unparse(a: Ast) -> str:
     """Canonical textual form; parse(unparse(a)) == a modulo spans."""
-    if a.kind in _SEQ_SIGS:
-        sig = _SEQ_SIGS[a.kind]
-    elif a.kind in _ENUM_SIGS:
-        sig = _ENUM_SIGS[a.kind]
-    else:
+    op = _OPS.get(a.kind)
+    if op is None:
         raise ValueError(f"unknown node kind {a.kind!r}")
-    if not sig:
+    if not op.sig:
         return a.kind
     parts: list[str] = []
     child_iter = iter(a.children)
-    for arg in sig:
-        if arg in ("seq", "enum"):
+    for arg in op.sig:
+        if arg in _TYPENAME:
             parts.append(unparse(next(child_iter)))
         else:
             parts.append(str(a.value))
     return f"{a.kind}({','.join(parts)})"
 
 
+def _eval(a: Ast, want: str):
+    op = _OPS.get(a.kind)
+    if op is None or op.type != want:
+        article = "a" if want == "seq" else "an"
+        raise ValueError(f"not {article} {_TYPENAME[want]} expression: {a.kind!r}")
+    # map calls _eval directly: a comprehension or lambda here would add a
+    # second frame per nesting level and halve the deepest program that
+    # evaluates within the recursion limit
+    return op.build(a.value, *map(_eval, a.children, op.operands))
+
+
 def eval_seq(a: Ast) -> BitSeq:
     """Denotation of a sequence expression (compositional and total)."""
-    if a.kind == "zeros":
-        return bitseq.zeros()
-    if a.kind == "ones":
-        return bitseq.ones()
-    if a.kind == "periodic":
-        return bitseq.periodic(a.value)
-    if a.kind == "natrow":
-        return bitseq.nat_row(a.value)
-    if a.kind == "prepend":
-        return bitseq.prepend(a.value, eval_seq(a.children[0]))
-    if a.kind == "compl":
-        return bitseq.complement(eval_seq(a.children[0]))
-    if a.kind == "diagc":
-        return diagonal.antidiagonal(eval_enum(a.children[0]))
-    raise ValueError(f"not a sequence expression: {a.kind!r}")
+    return _eval(a, "seq")
 
 
 def eval_enum(a: Ast) -> Enumeration:
     """Denotation of an enumeration expression (compositional and total)."""
-    if a.kind == "figure5":
-        return listmatrix.matrix_enumeration()
-    if a.kind == "const":
-        return diagonal.constant(eval_seq(a.children[0]))
-    if a.kind == "interleave":
-        return diagonal.interleave(
-            eval_enum(a.children[0]), eval_enum(a.children[1])
-        )
-    if a.kind == "spliteven":
-        return diagonal.split(eval_enum(a.children[0]))[0]
-    if a.kind == "splitodd":
-        return diagonal.split(eval_enum(a.children[0]))[1]
-    if a.kind == "insert":
-        return diagonal.insert(
-            eval_enum(a.children[0]), a.value, eval_seq(a.children[1])
-        )
-    raise ValueError(f"not an enumeration expression: {a.kind!r}")
+    return _eval(a, "enum")

@@ -60,12 +60,52 @@ def _grid(size: int, body: list[str]) -> None:
         body.append(_text(MARGIN - 8, center + 4, str(i), anchor="end", cls="row-label"))
 
 
-def _cell_center(m: int, n: int) -> tuple[int, int]:
+def _cell_center(m: int, n: int, margin: int = MARGIN) -> tuple[int, int]:
     # column m, row n; rows grow downward
-    return MARGIN + m * CELL + CELL // 2, MARGIN + n * CELL + CELL // 2
+    return margin + m * CELL + CELL // 2, margin + n * CELL + CELL // 2
 
 
-def _figure_grid(size: int = 10) -> str:
+def _table(rows: int, cols: int, margin: int, row_label, cell=None) -> list[str]:
+    """rows x cols grid with 0-based column labels on top and
+    row_label(r) to the left of row r; cell(r, c), when given, is written
+    into each cell after its row's label."""
+    body: list[str] = []
+    for r in range(rows + 1):
+        y = margin + r * CELL
+        body.append(_line(margin, y, margin + cols * CELL, y, cls="grid"))
+    for c in range(cols + 1):
+        x = margin + c * CELL
+        body.append(_line(x, margin, x, margin + rows * CELL, cls="grid"))
+    for c in range(cols):
+        x = margin + c * CELL + CELL // 2
+        body.append(_text(x, margin - 8, str(c), cls="col-label"))
+    for r in range(rows):
+        y = margin + r * CELL + CELL // 2 + 4
+        body.append(_text(margin - 8, y, str(row_label(r)), anchor="end", cls="row-label"))
+        if cell is not None:
+            for c in range(cols):
+                x = margin + c * CELL + CELL // 2
+                body.append(_text(x, y, str(cell(r, c)), cls="bit"))
+    return body
+
+
+def _walk_polyline(diagonals: int, margin: int, body: list[str]) -> None:
+    """The boustrophedon walk through the first `diagonals` anti-diagonals,
+    drawn through the cell centers of a grid with the given margin."""
+    if diagonals <= 0:
+        return
+    points = []
+    for i in range(diagonals * (diagonals + 1) // 2):
+        p = pairing.zigzag_decode(i)
+        points.append(_cell_center(p.m, p.n, margin))
+    coords = " ".join(f"{x},{y}" for x, y in points)
+    body.append(
+        f'<polyline points="{coords}" fill="none" stroke="black" '
+        f'stroke-width="2" class="walk"/>'
+    )
+
+
+def _figure_grid(size: int) -> str:
     check_budget(size * size)
     body: list[str] = []
     _grid(size, body)
@@ -73,7 +113,7 @@ def _figure_grid(size: int = 10) -> str:
     return _svg(2 * MARGIN + span, 2 * MARGIN + span, body)
 
 
-def _figure_tree(depth: int = 4) -> str:
+def _figure_tree(depth: int) -> str:
     check_budget(1 << depth)
     # root at the left, levels advance to the right; within a level, the
     # 0-branch child sits above the 1-branch child
@@ -108,7 +148,7 @@ def _figure_tree(depth: int = 4) -> str:
     return _svg(2 * MARGIN + depth * level_dx, height, body)
 
 
-def _figure_projection(depth: int = 3, size: int = 10) -> str:
+def _figure_projection(depth: int, size: int) -> str:
     check_budget(1 << depth)
     body: list[str] = []
     _grid(size, body)
@@ -125,83 +165,38 @@ def _figure_projection(depth: int = 3, size: int = 10) -> str:
     return _svg(2 * MARGIN + span, 2 * MARGIN + span, body)
 
 
-def _walk_polyline(diagonals: int, body: list[str]) -> None:
-    if diagonals <= 0:
-        return
-    steps = diagonals * (diagonals + 1) // 2
-    points = []
-    for i in range(steps):
-        p = pairing.zigzag_decode(i)
-        points.append(_cell_center(p.m, p.n))
-    coords = " ".join(f"{x},{y}" for x, y in points)
-    body.append(
-        f'<polyline points="{coords}" fill="none" stroke="black" '
-        f'stroke-width="2" class="walk"/>'
-    )
-
-
-def _figure_walk(diagonals: int = 10, size: int = 10) -> str:
+def _figure_walk(diagonals: int, size: int) -> str:
     check_budget(diagonals * (diagonals + 1) // 2 + size * size)
     body: list[str] = []
     _grid(size, body)
-    _walk_polyline(min(diagonals, size), body)
+    _walk_polyline(min(diagonals, size), MARGIN, body)
     span = size * CELL
     return _svg(2 * MARGIN + span, 2 * MARGIN + span, body)
 
 
-def _figure_matrix(rows: int = 17, cols: int = 5) -> str:
+def _figure_matrix(rows: int, cols: int) -> str:
     check_budget(rows * cols)
-    body: list[str] = []
-    for r in range(rows + 1):
-        y = MARGIN + r * CELL
-        body.append(_line(MARGIN, y, MARGIN + cols * CELL, y, cls="grid"))
-    for c in range(cols + 1):
-        x = MARGIN + c * CELL
-        body.append(_line(x, MARGIN, x, MARGIN + rows * CELL, cls="grid"))
-    for c in range(cols):
-        x = MARGIN + c * CELL + CELL // 2
-        body.append(_text(x, MARGIN - 8, str(c), cls="col-label"))
-    for r in range(rows):
-        y = MARGIN + r * CELL + CELL // 2 + 4
-        body.append(_text(MARGIN - 8, y, str(r), anchor="end", cls="row-label"))
-        for c in range(cols):
-            x = MARGIN + c * CELL + CELL // 2
-            body.append(_text(x, y, str(listmatrix.entry(r, c)), cls="bit"))
+    body = _table(rows, cols, MARGIN, str, listmatrix.entry)
     return _svg(2 * MARGIN + cols * CELL, 2 * MARGIN + rows * CELL, body)
 
 
-def _figure_labeled_walk(rows: int = 7, cols: int = 7) -> str:
+def _figure_labeled_walk(rows: int, cols: int) -> str:
     check_budget(rows * cols + rows * (rows + 1) // 2)
     margin = 50  # room for multi-digit walk-position labels
-    body: list[str] = []
-    for r in range(rows + 1):
-        y = margin + r * CELL
-        body.append(_line(margin, y, margin + cols * CELL, y, cls="grid"))
-    for c in range(cols + 1):
-        x = margin + c * CELL
-        body.append(_line(x, margin, x, margin + rows * CELL, cls="grid"))
-    for c in range(cols):
-        x = margin + c * CELL + CELL // 2
-        body.append(_text(x, margin - 8, str(c), cls="col-label"))
-    for r in range(rows):
-        y = margin + r * CELL + CELL // 2 + 4
-        body.append(
-            _text(margin - 8, y, str(pairing.row_label(r)), anchor="end", cls="row-label")
-        )
-    if rows > 0:
-        steps = min(rows, cols)
-        points = []
-        for i in range(steps * (steps + 1) // 2):
-            p = pairing.zigzag_decode(i)
-            points.append(
-                (margin + p.m * CELL + CELL // 2, margin + p.n * CELL + CELL // 2)
-            )
-        coords = " ".join(f"{x},{y}" for x, y in points)
-        body.append(
-            f'<polyline points="{coords}" fill="none" stroke="black" '
-            f'stroke-width="2" class="walk"/>'
-        )
+    body = _table(rows, cols, margin, pairing.row_label)
+    _walk_polyline(min(rows, cols), margin, body)
     return _svg(2 * margin + cols * CELL, 2 * margin + rows * CELL, body)
+
+
+# figure number -> renderer and the size parameters it takes, with defaults
+_FIGURES = {
+    1: (_figure_grid, {"size": 10}),
+    2: (_figure_tree, {"depth": 4}),
+    3: (_figure_projection, {"depth": 3, "size": 10}),
+    4: (_figure_walk, {"diagonals": 10, "size": 10}),
+    5: (_figure_matrix, {"rows": 17, "cols": 5}),
+    6: (_figure_labeled_walk, {"rows": 7, "cols": 7}),
+}
 
 
 def render_figure(
@@ -213,26 +208,18 @@ def render_figure(
     diagonals: int | None = None,
     size: int | None = None,
 ) -> str:
-    """Render figure `n` (1..6) to an SVG string."""
-    if n == 1:
-        return _figure_grid(size if size is not None else 10)
-    if n == 2:
-        return _figure_tree(depth if depth is not None else 4)
-    if n == 3:
-        return _figure_projection(
-            depth if depth is not None else 3, size if size is not None else 10
-        )
-    if n == 4:
-        return _figure_walk(
-            diagonals if diagonals is not None else 10,
-            size if size is not None else 10,
-        )
-    if n == 5:
-        return _figure_matrix(
-            rows if rows is not None else 17, cols if cols is not None else 5
-        )
-    if n == 6:
-        return _figure_labeled_walk(
-            rows if rows is not None else 7, cols if cols is not None else 7
-        )
-    raise ValueError(f"figure number must be 1..6, got {n}")
+    """Render figure `n` (1..6) to an SVG string.  Size parameters the
+    figure does not take are ignored; the ones it takes must be >= 0."""
+    if n not in _FIGURES:
+        raise ValueError(f"figure number must be 1..6, got {n}")
+    render, defaults = _FIGURES[n]
+    given = {
+        "depth": depth, "rows": rows, "cols": cols, "diagonals": diagonals, "size": size
+    }
+    params = {}
+    for name, default in defaults.items():
+        value = default if given[name] is None else given[name]
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+        params[name] = value
+    return render(**params)

@@ -15,20 +15,14 @@ caller enumerates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .bitseq import BitSeq, nat_row, prefix
+from .bitseq import nat_row, prefix
 from .budget import check_budget
 from .diagonal import Enumeration
-from .pairing import row_label
 
 __all__ = [
     "entry",
-    "row_seq",
     "matrix_enumeration",
     "submatrix_rows",
-    "LabeledEnumeration",
-    "figure6_enumeration",
 ]
 
 
@@ -39,15 +33,11 @@ def entry(r: int, c: int) -> int:
     return (r >> c) & 1
 
 
-def row_seq(r: int) -> BitSeq:
-    """Row r as an infinite sequence: bit i (1-based) = entry(r, i-1).
-    Finite support, with no 1 past position bitlen(r)."""
-    return nat_row(r)
-
-
 def matrix_enumeration() -> Enumeration:
-    """The matrix as an enumeration: row index r maps to row_seq(r)."""
-    return Enumeration(row_seq, description="truth-table matrix")
+    """The matrix as an enumeration: row r is nat_row(r), so bit i
+    (1-based) of row r is entry(r, i-1), with no 1 past position
+    bitlen(r)."""
+    return Enumeration(nat_row, description="truth-table matrix")
 
 
 def submatrix_rows(i: int, budget: int | None = None) -> set[str]:
@@ -59,24 +49,4 @@ def submatrix_rows(i: int, budget: int | None = None) -> set[str]:
     if i < 1:
         raise ValueError(f"submatrix width must be >= 1, got {i}")
     check_budget(1 << i, budget)
-    return {prefix(row_seq(r), i) for r in range(1 << i)}
-
-
-@dataclass(frozen=True)
-class LabeledEnumeration:
-    """The matrix enumeration together with its zigzag row labels: row i
-    is labeled with the walk position of the first element of grid row i.
-    The label sequence begins 0, 2, 3, 9, 10, 20, 21."""
-
-    rows: Enumeration = field(default_factory=matrix_enumeration)
-
-    def label(self, i: int) -> int:
-        return row_label(i)
-
-    def row(self, i: int) -> BitSeq:
-        return self.rows.row(i)
-
-
-def figure6_enumeration() -> LabeledEnumeration:
-    """The matrix rows paired with their boustrophedon labels."""
-    return LabeledEnumeration()
+    return {prefix(nat_row(r), i) for r in range(1 << i)}

@@ -132,7 +132,7 @@ def test_completeness_refutation():
             witnesses.append(pos)
         # independent recheck of every emitted witness via public lookups
         for r, pos in enumerate(witnesses):
-            assert listmatrix.row_seq(r).bit_at(pos) == 0
+            assert bitseq.nat_row(r).bit_at(pos) == 0
             assert all_ones.bit_at(pos) == 1
         assert max(witnesses) == 21
         report = audit.run_claim("C9", 20)

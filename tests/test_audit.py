@@ -14,9 +14,9 @@ from enumerlab.audit import (
     run_all,
     run_claim,
 )
-from enumerlab.bitseq import bit_at, ones
+from enumerlab.bitseq import nat_row, ones
 from enumerlab.budget import BudgetError
-from enumerlab.listmatrix import entry, row_seq
+from enumerlab.listmatrix import entry
 
 
 def test_catalog_order():
@@ -89,8 +89,8 @@ def test_c9_refutation_and_witnesses():
     for w in r.witnesses[:-1]:
         row, pos = w["row"], w["position"]
         assert entry(row, pos - 1) == w["row_bit"] == 0
-        assert bit_at(ones(), pos) == w["ones_bit"] == 1
-        assert bit_at(row_seq(row), pos) != bit_at(ones(), pos)
+        assert ones().bit_at(pos) == w["ones_bit"] == 1
+        assert nat_row(row).bit_at(pos) != ones().bit_at(pos)
 
 
 def test_c9_consistent_with_c6():
@@ -126,6 +126,16 @@ def test_run_all_never_aborts(monkeypatch):
     assert "error" in by_id["C1"].witnesses[0]
     # cheap closed-form claims still run at this depth
     assert by_id["C5"].status == VERIFIED
+
+
+def test_run_all_propagates_internal_fault(monkeypatch):
+    def broken(depth):
+        raise AssertionError("witness failed revalidation")
+
+    anchor, _ = audit._CLAIMS["C9"]
+    monkeypatch.setitem(audit._CLAIMS, "C9", (anchor, broken))
+    with pytest.raises(AssertionError, match="revalidation"):
+        run_all(3)
 
 
 def test_refuted_requires_witness():

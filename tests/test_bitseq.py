@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from enumerlab.bitseq import (
     PositionError,
-    bit_at,
     complement,
     dyadic_bounds,
     eq_prefix,
@@ -34,9 +33,9 @@ def all_constructor_kinds():
 
 
 def test_bit_at_examples():
-    assert bit_at(ones(), 7) == 1
-    assert bit_at(nat_row(6), 2) == 1
-    assert bit_at(periodic("01"), 4) == 1
+    assert ones().bit_at(7) == 1
+    assert nat_row(6).bit_at(2) == 1
+    assert periodic("01").bit_at(4) == 1
 
 
 def test_position_zero_error():
@@ -44,7 +43,7 @@ def test_position_zero_error():
         with pytest.raises(PositionError):
             s.bit_at(0)
         with pytest.raises(PositionError):
-            bit_at(s, -3)
+            s.bit_at(-3)
 
 
 def test_prefix_examples():

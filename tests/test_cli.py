@@ -1,9 +1,14 @@
 import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from enumerlab import cli
-from enumerlab.cli import COVERED_OPERATIONS, dispatch
+from enumerlab import cli, diagonal
+from enumerlab.cli import dispatch
 
 
 def run(capsys, *argv):
@@ -168,47 +173,104 @@ def test_env_budget_override(capsys, monkeypatch):
     assert run(capsys, "tree", "paths", "2")[0] == 0
 
 
-def test_every_primary_operation_reachable():
-    covered = {op for ops in COVERED_OPERATIONS.values() for op in ops}
-    required = {
-        "pairing.zigzag_encode",
-        "pairing.zigzag_decode",
-        "pairing.level_pairs",
-        "pairing.node_to_pair",
-        "pairing.pair_to_node",
-        "pairing.row_label",
-        "bitseq.bit_at",
-        "bitseq.prefix",
-        "bitseq.complement",
-        "bitseq.dyadic_bounds",
-        "bitseq.eq_prefix",
-        "tree.children",
-        "tree.path_to_addr",
-        "tree.paths_at_depth",
-        "tree.prefix_chain",
-        "tree.node_count",
-        "listmatrix.entry",
-        "listmatrix.row_seq",
-        "listmatrix.submatrix_rows",
-        "listmatrix.figure6_enumeration",
-        "diagonal.antidiagonal",
-        "diagonal.certificates",
-        "diagonal.check_certificate",
-        "diagonal.insert",
-        "diagonal.split",
-        "diagonal.interleave",
-        "dsl.parse",
-        "dsl.eval_seq",
-        "dsl.eval_enum",
-        "audit.run_claim",
-        "audit.run_all",
-        "figures.render_figure",
-    }
-    assert required <= covered
-    # the table only names operations that exist
-    import importlib
+README = Path(__file__).resolve().parent.parent / "README.md"
 
-    for op in covered:
-        module_name, func_name = op.split(".")
-        module = importlib.import_module(f"enumerlab.{module_name}")
-        assert callable(getattr(module, func_name)), op
+
+def readme_commands(out_dir):
+    """argv of every `enumerlab ...` line in the README, with --out paths
+    moved into out_dir."""
+    commands = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.startswith("enumerlab "):
+            argv = shlex.split(line, comments=True)[1:]
+            if "--out" in argv:
+                i = argv.index("--out") + 1
+                argv[i] = str(out_dir / argv[i])
+            commands.append(argv)
+    return commands
+
+
+def test_every_module_reachable(capsys, tmp_path):
+    # the README says the entry point exposes every module: run its
+    # commands and record which enumerlab modules execute code
+    commands = readme_commands(tmp_path)
+    assert len(commands) >= 14
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_globals.get("__name__"))
+
+    sys.setprofile(profile)
+    try:
+        codes = [dispatch(argv) for argv in commands]
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert set(codes) <= {0, 1}
+    modules = ["pairing", "tree", "bitseq", "listmatrix", "diagonal", "dsl", "audit", "figures"]
+    assert {f"enumerlab.{m}" for m in modules} <= entered
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        ("diag apply figure5 --rows -2", "--rows"),
+        ("diag cert figure5 --rows -2", "--rows"),
+        ("matrix labels -3", "n"),
+        ("fig 1 --size -1", "size"),
+        ("fig 2 --depth -1", "depth"),
+        ("fig 3 --depth -1", "depth"),
+        ("fig 3 --size -1", "size"),
+        ("fig 4 --diagonals -1", "diagonals"),
+        ("fig 4 --size -1", "size"),
+        ("fig 5 --rows -1", "rows"),
+        ("fig 5 --cols -1", "cols"),
+        ("fig 6 --rows -1", "rows"),
+        ("fig 6 --cols -1", "cols"),
+    ],
+)
+def test_negative_count_rejected(capsys, command, name):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (2, "")
+    assert f"{name} must be >= 0, got -" in err
+
+
+def test_audit_negative_depth_exit_code(capsys):
+    code, out, err = run(capsys, "audit", "--depth", "-1")
+    assert (code, out) == (2, "")
+    assert "depth must be >= 0" in err
+
+
+def test_audit_malformed_env_budget_exit_code(capsys, monkeypatch):
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "abc")
+    code, out, err = run(capsys, "audit", "--depth", "3")
+    assert (code, out) == (2, "")
+    assert "abc" in err
+
+
+def test_diag_cert_revalidation_fault(capsys, monkeypatch):
+    monkeypatch.setattr(diagonal, "check_certificate", lambda E, x, cert: False)
+    with pytest.raises(RuntimeError, match="certificate failed revalidation"):
+        dispatch(["diag", "cert", "figure5", "--rows", "3"])
+    assert capsys.readouterr().out == ""
+
+
+def test_diag_cert_revalidation_fault_under_optimize():
+    # python -O strips assert statements; the revalidation must survive it
+    program = (
+        "import sys\n"
+        "if __debug__:\n"
+        "    sys.exit('python -O did not take effect')\n"
+        "from enumerlab import cli, diagonal\n"
+        "diagonal.check_certificate = lambda E, x, cert: False\n"
+        "sys.exit(cli.dispatch(['diag', 'cert', 'figure5', '--rows', '3']))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", program], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert "certificate failed revalidation" in proc.stderr

@@ -1,7 +1,7 @@
 import pytest
 
 from dsl_corpus import PRODUCTION_SAMPLES, corpus_asts
-from enumerlab.bitseq import prefix
+from enumerlab.bitseq import nat_row, prefix
 from enumerlab.dsl import (
     ENUM_KINDS,
     SEQ_KINDS,
@@ -14,7 +14,6 @@ from enumerlab.dsl import (
     parse_seq,
     unparse,
 )
-from enumerlab.listmatrix import row_seq
 
 
 def test_parse_simple_sequence():
@@ -145,7 +144,7 @@ def test_every_production_reachable():
 def test_eval_seq_examples():
     assert prefix(eval_seq(parse_seq("periodic(01)")), 6) == "010101"
     assert prefix(eval_seq(parse_seq("prepend(110,zeros)")), 6) == "110000"
-    assert prefix(eval_seq(parse_seq("natrow(6)")), 8) == prefix(row_seq(6), 8)
+    assert prefix(eval_seq(parse_seq("natrow(6)")), 8) == prefix(nat_row(6), 8)
 
 
 def test_eval_enum_examples():
@@ -154,7 +153,7 @@ def test_eval_enum_examples():
     E2 = eval_enum(parse_enum("insert(figure5,1,diagc(figure5))"))
     assert prefix(E2.row(1), 32) == "1" * 32
     odd = eval_enum(parse_enum("splitodd(figure5)"))
-    assert prefix(odd.row(1), 8) == prefix(row_seq(3), 8)
+    assert prefix(odd.row(1), 8) == prefix(nat_row(3), 8)
 
 
 def test_denotational_stability():
@@ -166,3 +165,34 @@ def test_denotational_stability():
             a = prefix(eval_enum(ast).row(3), 256)
             b = prefix(eval_enum(ast).row(3), 256)
         assert a == b
+
+
+# (program, message, line, column, expected set): one case per arity check
+# in the parser, so the exact diagnostics are pinned
+ARITY_ERRORS = [
+    # a ')' where the ',' before the next argument belongs
+    ("prepend(01)", "too few arguments to 'prepend': expected 2, got 1", 1, 11, {","}),
+    ("interleave(figure5)", "too few arguments to 'interleave': expected 2, got 1", 1, 19, {","}),
+    # a ')' where a sequence or enumeration argument belongs
+    ("compl()", "too few arguments to 'compl': expected 1, got 0", 1, 7, {"seq"}),
+    ("insert(figure5,3,)", "too few arguments to 'insert': expected 3, got 2", 1, 18, {"seq"}),
+    # a ')' where a bits literal belongs
+    ("periodic()", "too few arguments to 'periodic': expected 1, got 0", 1, 10, {"bits"}),
+    ("prepend()", "too few arguments to 'prepend': expected 2, got 0", 1, 9, {"bits"}),
+    # a ')' where a nat literal belongs
+    ("natrow()", "too few arguments to 'natrow': expected 1, got 0", 1, 8, {"nat"}),
+    ("insert(figure5,)", "too few arguments to 'insert': expected 3, got 1", 1, 16, {"nat"}),
+    # a ',' where the closing ')' belongs
+    ("compl(ones,ones)", "too many arguments to 'compl': expected 1", 1, 11, {")"}),
+]
+
+
+@pytest.mark.parametrize("text,message,line,column,expected", ARITY_ERRORS)
+def test_arity_error_diagnostics(text, message, line, column, expected):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    err = exc.value
+    assert err.error_class == "arity"
+    assert (err.message, err.line, err.column) == (message, line, column)
+    assert err.expected == frozenset(expected)
+    assert str(err) == f"{line}:{column}: {message}"

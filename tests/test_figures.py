@@ -1,5 +1,7 @@
+import hashlib
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -96,3 +98,28 @@ def test_figure_number_validation():
 def test_oversized_render_rejected():
     with pytest.raises(BudgetError):
         render_figure(2, depth=30)
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent.parent / "demos" / "output"
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_default_render_matches_golden(n):
+    golden = (GOLDEN_DIR / f"figure{n}.svg").read_bytes()
+    assert render_figure(n).encode("utf-8") == golden
+
+
+# SHA-256 of non-default renders that exercise the shared grid and walk
+# drawing code
+PINNED_RENDERS = [
+    (4, {"diagonals": 0}, "5190cffa12dfa8389bdc1e5e405ddb9acc7c30adad9ebc87a28bde27026d5c9d"),
+    (4, {"diagonals": 5}, "6f0903e9ced700900065209268ff1872407d153aecf80f28a359826b835e4cf9"),
+    (5, {"rows": 3, "cols": 7}, "21ad87690e6d526e514deafa147c64181e1a902f2a3dcbd1137646577248726f"),
+    (6, {"rows": 9, "cols": 4}, "dcbea68e19e582d789b1c120b86e909129bdbb63f474ac71c943e40369d84967"),
+]
+
+
+@pytest.mark.parametrize("n,params,digest", PINNED_RENDERS)
+def test_pinned_render_digest(n, params, digest):
+    svg = render_figure(n, **params)
+    assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == digest

@@ -1,14 +1,8 @@
 import pytest
 
-from enumerlab.bitseq import eq_prefix, ones, prefix
+from enumerlab.bitseq import eq_prefix, nat_row, ones, prefix
 from enumerlab.budget import BudgetError
-from enumerlab.listmatrix import (
-    entry,
-    figure6_enumeration,
-    matrix_enumeration,
-    row_seq,
-    submatrix_rows,
-)
+from enumerlab.listmatrix import entry, matrix_enumeration, submatrix_rows
 from enumerlab.pairing import row_label, row_labels_by_walk
 from enumerlab.tree import paths_at_depth
 
@@ -56,15 +50,15 @@ def test_column_pattern():
             assert entry(r, c) == expected
 
 
-def test_row_seq_examples():
-    assert prefix(row_seq(0), 5) == "00000"
-    assert prefix(row_seq(6), 4) == "0110"
-    assert prefix(row_seq(11), 5) == "11010"
+def test_matrix_row_examples():
+    assert prefix(nat_row(0), 5) == "00000"
+    assert prefix(nat_row(6), 4) == "0110"
+    assert prefix(nat_row(11), 5) == "11010"
 
 
-def test_row_seq_finite_support():
+def test_matrix_row_finite_support():
     for r in range(512):
-        s = row_seq(r)
+        s = nat_row(r)
         assert s.eventually_zero_bound == r.bit_length()
         pos = eq_prefix(s, ones(), r.bit_length() + 1)
         assert pos is not None and pos <= r.bit_length() + 1
@@ -92,16 +86,17 @@ def test_submatrix_budget():
         submatrix_rows(10, budget=100)
 
 
-def test_figure6_enumeration_labels():
-    labeled = figure6_enumeration()
-    assert [labeled.label(i) for i in range(7)] == [0, 2, 3, 9, 10, 20, 21]
-    assert labeled.label(8) == row_labels_by_walk(9)[8]
+def test_figure6_row_labels():
+    assert [row_label(i) for i in range(7)] == [0, 2, 3, 9, 10, 20, 21]
+    assert row_label(8) == row_labels_by_walk(9)[8]
 
 
 def test_figure6_rows_are_matrix_rows():
-    labeled = figure6_enumeration()
+    # the rows figure 6 labels are the matrix rows, bit c+1 of row i
+    # being entry(i, c)
+    E = matrix_enumeration()
     for i in range(32):
-        assert prefix(labeled.row(i), 16) == prefix(row_seq(i), 16)
+        assert prefix(E.row(i), 16) == "".join(str(entry(i, c)) for c in range(16))
 
 
 def test_label_closed_form_vs_walk():
@@ -112,4 +107,4 @@ def test_label_closed_form_vs_walk():
 def test_matrix_enumeration_rows():
     E = matrix_enumeration()
     for r in (0, 6, 11, 300):
-        assert prefix(E.row(r), 12) == prefix(row_seq(r), 12)
+        assert prefix(E.row(r), 12) == prefix(nat_row(r), 12)

@@ -121,6 +121,17 @@ def test_pair_to_node_roundtrip():
             assert pair_to_node(node_to_pair(addr)) == addr
 
 
+def test_level_pairs_are_projected_nodes():
+    # every pair of level k is the projection of a node of level k, and
+    # pair_to_node recovers that node
+    for k in range(8):
+        pairs = level_pairs(k)
+        assert pairs == [node_to_pair(NodeAddr(k, j)) for j in range(2**k)]
+        for p in pairs:
+            addr = pair_to_node(p)
+            assert addr is not None and node_to_pair(addr) == p
+
+
 def test_projection_injective_and_levels_disjoint():
     seen = {}
     for k in range(13):
