@@ -31,9 +31,12 @@ def enumeration_budget() -> int:
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
-    value = int(raw)
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # reported below like any other non-positive value
     if value <= 0:
-        raise ValueError(f"{_ENV_VAR} must be positive, got {raw}")
+        raise ValueError(f"{_ENV_VAR} must be a positive integer, got {raw!r}")
     return value
 
 

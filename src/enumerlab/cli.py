@@ -3,9 +3,10 @@
 Subcommands: pair, tree, matrix, diag, audit, fig.  Exit status: 0 success,
 1 when an audit run contains a refuted claim (still a successful run), 2 on
 usage errors (a negative count or depth, a malformed ENUMERLAB_BUDGET
-included), 3 on depth/budget errors.  Output is byte-deterministic for
-fixed inputs; audit JSON includes an elapsed_ms field that golden
-comparisons must exclude.
+included), 3 on depth/budget errors, 4 on an internal fault (one
+"internal error:" line on stderr, never a verdict).  Output is
+byte-deterministic for fixed inputs; audit JSON includes an elapsed_ms
+field that golden comparisons must exclude.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,6 +274,9 @@ def dispatch(argv: list[str]) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

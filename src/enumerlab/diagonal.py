@@ -35,13 +35,23 @@ __all__ = [
 
 class Enumeration:
     """A total map from row index (0-based) to BitSeq: a "list" of
-    infinite binary sequences."""
+    infinite binary sequences.  As for BitSeq, `description` is a string or
+    a zero-argument callable returning one."""
 
-    __slots__ = ("_rule", "description")
+    __slots__ = ("_rule", "_description")
 
-    def __init__(self, rule: Callable[[int], BitSeq], description: str = "enum"):
+    def __init__(
+        self,
+        rule: Callable[[int], BitSeq],
+        description: str | Callable[[], str] = "enum",
+    ):
         self._rule = rule
-        self.description = description
+        self._description = description
+
+    @property
+    def description(self) -> str:
+        d = self._description
+        return d if isinstance(d, str) else d()
 
     def row(self, i: int) -> BitSeq:
         if i < 0:
@@ -72,7 +82,9 @@ class Certificate:
 
 def constant(s: BitSeq) -> Enumeration:
     """Every row is the same sequence."""
-    return Enumeration(lambda i: s, description=f"constant({s.description})")
+    return Enumeration(
+        lambda i: s, description=lambda: f"constant({s.description})"
+    )
 
 
 def antidiagonal(E: Enumeration) -> BitSeq:
@@ -80,7 +92,7 @@ def antidiagonal(E: Enumeration) -> BitSeq:
     every row of E at the paired diagonal position."""
     return BitSeq(
         lambda j: 1 - E.row(j - 1).bit_at(j),
-        description=f"antidiagonal({E.description})",
+        description=lambda: f"antidiagonal({E.description})",
     )
 
 
@@ -115,7 +127,8 @@ def insert(E: Enumeration, k: int, s: BitSeq) -> Enumeration:
         return E.row(i - 1)
 
     return Enumeration(
-        rule, description=f"insert({E.description}, {k}, {s.description})"
+        rule,
+        description=lambda: f"insert({E.description}, {k}, {s.description})",
     )
 
 
@@ -123,10 +136,12 @@ def split(E: Enumeration) -> tuple[Enumeration, Enumeration]:
     """Separate even-indexed and odd-indexed rows into two reindexed
     enumerations: (i -> row 2i, i -> row 2i+1)."""
     even = Enumeration(
-        lambda i: E.row(2 * i), description=f"spliteven({E.description})"
+        lambda i: E.row(2 * i),
+        description=lambda: f"spliteven({E.description})",
     )
     odd = Enumeration(
-        lambda i: E.row(2 * i + 1), description=f"splitodd({E.description})"
+        lambda i: E.row(2 * i + 1),
+        description=lambda: f"splitodd({E.description})",
     )
     return even, odd
 
@@ -135,5 +150,5 @@ def interleave(Ea: Enumeration, Eb: Enumeration) -> Enumeration:
     """Inverse of split: row 2i comes from Ea, row 2i+1 from Eb."""
     return Enumeration(
         lambda i: Ea.row(i // 2) if i % 2 == 0 else Eb.row(i // 2),
-        description=f"interleave({Ea.description}, {Eb.description})",
+        description=lambda: f"interleave({Ea.description}, {Eb.description})",
     )

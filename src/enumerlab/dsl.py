@@ -28,6 +28,7 @@ type (sequence expression where an enumeration is required, or vice versa).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -307,7 +308,17 @@ class _Parser:
                 f"expected {what}, found {lit.text or 'end of input'!r}",
                 expected=frozenset({arg}),
             )
-        return lit.text if arg == "bits" else int(lit.text)
+        if arg == "bits":
+            return lit.text
+        limit = sys.get_int_max_str_digits()
+        if limit and len(lit.text) > limit:
+            self._fail(
+                lit,
+                f"natural number literal has {len(lit.text)} digits, "
+                f"more than the limit of {limit}",
+                expected=frozenset({arg}),
+            )
+        return int(lit.text)
 
     def _span(self, head: _Token, end_offset: int) -> Span:
         return Span(head.line, head.column, end_offset - head.offset)

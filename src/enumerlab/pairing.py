@@ -39,7 +39,7 @@ class GridPair(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeAddr:
     """A node of the infinite binary tree: (level, offset), root = (0, 0)."""
 

@@ -33,7 +33,7 @@ def children(a: NodeAddr) -> tuple[NodeAddr, NodeAddr]:
 
 def path_to_addr(p: str) -> NodeAddr:
     """Endpoint of a finite root path; the empty path ends at the root."""
-    if set(p) - {"0", "1"}:
+    if p.strip("01"):
         raise ValueError(f"bit string expected, got {p!r}")
     offset = int(p, 2) if p else 0
     return NodeAddr(len(p), offset)

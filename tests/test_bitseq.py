@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enumerlab import diagonal, listmatrix
 from enumerlab.bitseq import (
+    BitSeq,
     PositionError,
     complement,
     dyadic_bounds,
@@ -44,6 +46,8 @@ def test_position_zero_error():
             s.bit_at(0)
         with pytest.raises(PositionError):
             s.bit_at(-3)
+        with pytest.raises(PositionError):
+            s.block(0, 4)
 
 
 def test_prefix_examples():
@@ -129,3 +133,108 @@ def test_bad_patterns_rejected():
         prepend("2", zeros())
     with pytest.raises(ValueError):
         nat_row(-1)
+
+
+# ---------------------------------------------------------------- block
+
+
+def per_bit_block(s, start, n):
+    """Independent packer: bits start..start+n-1 of s, one bit_at each,
+    least-significant bit first."""
+    out = 0
+    for k in range(n):
+        out |= s.bit_at(start + k) << k
+    return out
+
+
+bit_strings = st.text(alphabet="01", max_size=12)
+leaves = st.one_of(
+    st.just(zeros()),
+    st.just(ones()),
+    bit_strings.filter(bool).map(periodic),
+    st.integers(min_value=0, max_value=2**200).map(nat_row),
+)
+sequences = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.builds(prepend, bit_strings, inner),
+        inner.map(complement),
+    ),
+    max_leaves=6,
+)
+starts = st.integers(min_value=1, max_value=300)
+lengths = st.integers(min_value=0, max_value=300)
+
+
+@given(sequences, starts, lengths)
+def test_block_matches_per_bit_packing(s, start, n):
+    assert s.block(start, n) == per_bit_block(s, start, n)
+
+
+@given(st.integers(min_value=10**4300, max_value=10**4400), starts, lengths)
+def test_nat_row_beyond_decimal_digit_limit(r, start, n):
+    s = nat_row(r)
+    assert s.eventually_zero_bound == r.bit_length()
+    assert s.block(start, n) == per_bit_block(s, start, n)
+    lsb_first = bin(r)[2:][::-1]
+    assert prefix(s, n) == lsb_first[:n].ljust(n, "0")
+
+
+@given(sequences, starts, st.integers(min_value=0, max_value=80))
+def test_antidiagonal_fallback_block(s, start, n):
+    for E in (
+        listmatrix.matrix_enumeration(),
+        diagonal.constant(s),
+        diagonal.insert(listmatrix.matrix_enumeration(), 2, s),
+    ):
+        x = diagonal.antidiagonal(E)
+        assert x.block(start, n) == per_bit_block(x, start, n)
+
+
+@given(sequences, lengths)
+def test_prefix_and_dyadic_bounds_per_bit(s, n):
+    bits = [s.bit_at(i) for i in range(1, n + 1)]
+    assert prefix(s, n) == "".join(map(str, bits))
+    low = sum(Fraction(b, 2**i) for i, b in enumerate(bits, start=1))
+    assert dyadic_bounds(s, n) == (low, low + Fraction(1, 2**n))
+
+
+@given(bit_strings, sequences, sequences, st.integers(min_value=0, max_value=400))
+def test_eq_prefix_per_bit(common, a, b, n):
+    a, b = prepend(common, a), prepend(common, b)
+    first = next(
+        (i for i in range(1, n + 1) if a.bit_at(i) != b.bit_at(i)), None
+    )
+    assert eq_prefix(a, b, n) == first
+
+
+positions = st.integers(min_value=1, max_value=5000)
+
+
+def counting_pair(p):
+    """Two fallback sequences that differ first at position p, and the
+    number of bits each has been asked for."""
+    reads = [0, 0]
+
+    def rule(side):
+        def bit(i):
+            reads[side] += 1
+            return side if i == p else 0
+
+        return bit
+
+    return BitSeq(rule(0)), BitSeq(rule(1)), reads
+
+
+@given(positions, st.integers(min_value=0, max_value=5000))
+def test_eq_prefix_reads_at_most_twice_the_difference_position(p, extra):
+    a, b, reads = counting_pair(p)
+    assert eq_prefix(a, b, p + extra) == p
+    assert reads[0] == reads[1] <= 2 * max(p, 64)
+
+
+@given(positions, st.integers(min_value=0, max_value=5000))
+def test_eq_prefix_reads_nothing_past_n(n, beyond):
+    a, b, reads = counting_pair(n + 1 + beyond)
+    assert eq_prefix(a, b, n) is None
+    assert reads == [n, n]

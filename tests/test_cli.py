@@ -246,14 +246,35 @@ def test_audit_malformed_env_budget_exit_code(capsys, monkeypatch):
     monkeypatch.setenv("ENUMERLAB_BUDGET", "abc")
     code, out, err = run(capsys, "audit", "--depth", "3")
     assert (code, out) == (2, "")
-    assert "abc" in err
+    assert err == "error: ENUMERLAB_BUDGET must be a positive integer, got 'abc'\n"
+
+
+def test_long_natrow_literal_exit_code(capsys):
+    program = f"const(natrow({'7' * 5000}))"
+    code, out, err = run(capsys, "diag", "apply", program, "--rows", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: program error at 1:14: ")
+    assert "5000 digits" in err and "4300" in err
 
 
 def test_diag_cert_revalidation_fault(capsys, monkeypatch):
     monkeypatch.setattr(diagonal, "check_certificate", lambda E, x, cert: False)
-    with pytest.raises(RuntimeError, match="certificate failed revalidation"):
-        dispatch(["diag", "cert", "figure5", "--rows", "3"])
-    assert capsys.readouterr().out == ""
+    code, out, err = run(capsys, "diag", "cert", "figure5", "--rows", "3")
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err.startswith(
+        "internal error: RuntimeError: certificate failed revalidation: "
+    )
+    assert err.count("\n") == 1
+
+
+def test_internal_fault_exit_code(capsys, monkeypatch):
+    def fault(depth):
+        raise AssertionError("witness failed revalidation")
+
+    monkeypatch.setattr(cli.audit, "run_all", fault)
+    code, out, err = run(capsys, "audit", "--depth", "3")
+    assert (code, out) == (4, "")
+    assert err == "internal error: AssertionError: witness failed revalidation\n"
 
 
 def test_diag_cert_revalidation_fault_under_optimize():
@@ -271,6 +292,9 @@ def test_diag_cert_revalidation_fault_under_optimize():
     proc = subprocess.run(
         [sys.executable, "-O", "-c", program], capture_output=True, text=True, env=env
     )
-    assert proc.returncode != 0
+    assert proc.returncode == 4
     assert proc.stdout == ""
-    assert "certificate failed revalidation" in proc.stderr
+    assert proc.stderr.startswith(
+        "internal error: RuntimeError: certificate failed revalidation: "
+    )
+    assert "Traceback" not in proc.stderr

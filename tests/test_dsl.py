@@ -108,6 +108,18 @@ def test_error_position_on_second_line():
     assert exc.value.column == 3
 
 
+def test_natrow_literal_beyond_digit_limit():
+    text = "compl(\n  natrow(" + "9" * 5000 + "))"
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (2, 10)
+    assert exc.value.error_class == "syntax"
+    assert exc.value.expected == frozenset({"nat"})
+    assert exc.value.message == (
+        "natural number literal has 5000 digits, more than the limit of 4300"
+    )
+
+
 def test_unexpected_character():
     with pytest.raises(ParseError):
         parse("compl(ones);")
