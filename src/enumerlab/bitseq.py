@@ -130,19 +130,28 @@ def periodic(pattern: str) -> BitSeq:
     )
 
 
+def _decimal_or_hex(r: int) -> str:
+    """r in decimal, or in hex when it has more decimal digits than the
+    interpreter converts (sys.get_int_max_str_digits())."""
+    try:
+        return str(r)
+    except ValueError:
+        return hex(r)
+
+
 def nat_row(r: int) -> BitSeq:
     """The binary expansion of the natural r, least-significant bit first,
     padded with zeros: nat_row(6) = 0 1 1 0 0 0 ...
     """
     if r < 0:
-        raise ValueError(f"natural expected, got {r}")
+        raise ValueError(f"natural expected, got {_decimal_or_hex(r)}")
     # positional: a class call with keywords builds a dict, and a diagonal
     # read over the matrix builds one nat_row per bit
     return BitSeq(
         lambda i: (r >> (i - 1)) & 1,
         lambda start, n: (r >> (start - 1)) & ((1 << n) - 1),
         r.bit_length(),
-        lambda: f"nat_row({r})",
+        lambda: f"nat_row({_decimal_or_hex(r)})",
     )
 
 

@@ -44,7 +44,9 @@ def submatrix_rows(i: int, budget: int | None = None) -> set[str]:
     """The set of length-i prefixes of the first 2^i rows.
 
     Contract: equals the full set of length-i bit strings, each occurring
-    exactly once (verified by the audit, claim C8).
+    exactly once (checked by test_acceptance::test_submatrix_coverage and
+    tests/test_listmatrix.py; the audit's claim C8 checks the same property
+    from nat_row blocks, without this function).
     """
     if i < 1:
         raise ValueError(f"submatrix width must be >= 1, got {i}")

@@ -1,8 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from enumerlab import audit
+from enumerlab import audit, bitseq, pairing, tree
 from enumerlab.audit import (
     CLAIM_IDS,
     NOT_FINITELY_CHECKABLE,
@@ -166,3 +168,132 @@ def test_markdown_report():
     assert text.startswith("| claim |")
     for cid in CLAIM_IDS:
         assert cid in text
+
+
+def test_elapsed_ns_and_ms():
+    r = run_claim("C8", 10)
+    assert isinstance(r.elapsed_ns, int) and r.elapsed_ns > 0
+    assert r.elapsed_ms == r.elapsed_ns // 1_000_000
+    assert "elapsed_ns" not in report_to_dict(r)
+
+
+# Refutations under one-point mutations of the function each claim reads.
+# The expected witnesses are those a node-by-node scan in (level, offset)
+# order gives under the same mutation.
+
+
+@pytest.mark.parametrize(
+    "moves, witness",
+    [
+        # two nodes of level 3 project to one pair
+        ({(3, 5): (3, 2)}, {"pair": [2, 5], "node_a": [3, 2], "node_b": [3, 5]}),
+        # a node of level 4 projects onto a pair of level 2
+        ({(4, 0): (2, 1)}, {"pair": [1, 2], "node_a": [2, 1], "node_b": [4, 0]}),
+    ],
+    ids=["same-level", "across-levels"],
+)
+def test_c1_refutation_witness(monkeypatch, moves, witness):
+    real = pairing.level_pairs
+
+    def level_pairs(k, budget=None):
+        pairs = real(k, budget)
+        for (level, j), (to_level, to_j) in moves.items():
+            if level == k:
+                pairs[j] = real(to_level)[to_j]
+        return pairs
+
+    monkeypatch.setattr(pairing, "level_pairs", level_pairs)
+    r = run_claim("C1", 6)
+    assert r.status == REFUTED
+    assert r.witnesses == [witness]
+
+
+@pytest.mark.parametrize(
+    "moves, depth, status, witnesses",
+    [
+        # one ending moves onto another node of its level
+        ({"0110": (4, 5)}, 6, REFUTED, [{"missing": [(4, 6)], "extra": []}]),
+        # 16 endings collapse onto one node: the first 8 of the missing set
+        # are taken before sorting
+        (
+            {format(j, "05b"): (5, 0) for j in range(16, 32)},
+            6,
+            REFUTED,
+            [
+                {
+                    "missing": [
+                        (5, 17), (5, 20), (5, 21), (5, 23),
+                        (5, 24), (5, 27), (5, 30), (5, 31),
+                    ],
+                    "extra": [],
+                }
+            ],
+        ),
+        # an ending moves below the examined depth
+        ({"111": (6, 0)}, 5, REFUTED, [{"missing": [(3, 7)], "extra": [(6, 0)]}]),
+        # two endings swap levels: every level is wrong, their union is not
+        ({"00": (3, 0), "000": (2, 0)}, 5, VERIFIED, []),
+    ],
+    ids=["one-moved", "16-missing", "extra", "levels-swapped"],
+)
+def test_c3_mutated_endings(monkeypatch, moves, depth, status, witnesses):
+    real = tree.path_to_addr
+    monkeypatch.setattr(
+        tree,
+        "path_to_addr",
+        lambda p: pairing.NodeAddr(*moves[p]) if p in moves else real(p),
+    )
+    r = run_claim("C3", depth)
+    assert r.status == status
+    assert r.witnesses == witnesses
+
+
+@pytest.mark.parametrize(
+    "repeat, depth, witness",
+    [
+        # row 5 repeats row 3
+        (lambda r: 3 if r == 5 else r, 6, {"width": 3, "size": 7, "missing": ["101"]}),
+        # row 5 reads row 13, which agrees with it in the first 3 columns
+        (lambda r: 13 if r == 5 else r, 6, {"width": 4, "size": 15, "missing": ["1010"]}),
+        # every row from 16 on repeats row 0
+        (
+            lambda r: 0 if r >= 16 else r,
+            7,
+            {
+                "width": 5,
+                "size": 16,
+                "missing": [
+                    "00001", "00011", "00101", "00111",
+                    "01001", "01011", "01101", "01111",
+                ],
+            },
+        ),
+    ],
+    ids=["repeat", "high-bits", "many-repeat"],
+)
+def test_c8_refutation_witness(monkeypatch, repeat, depth, witness):
+    real = bitseq.nat_row
+    monkeypatch.setattr(bitseq, "nat_row", lambda r: real(repeat(r)))
+    r = run_claim("C8", depth)
+    assert r.status == REFUTED
+    assert r.witnesses == [witness]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "depth, budget, name",
+    [
+        (0, None, "audit_depth0.json"),
+        (1, None, "audit_depth1.json"),
+        (14, None, "audit_depth14.json"),
+        (60, "4096", "audit_depth60_budget4096.json"),
+    ],
+    ids=["depth0", "depth1", "depth14", "depth60-budget4096"],
+)
+def test_json_matches_golden(monkeypatch, depth, budget, name):
+    if budget is not None:
+        monkeypatch.setenv("ENUMERLAB_BUDGET", budget)
+    text = re.sub(r',\n *"elapsed_ms": \d+', "", reports_to_json(run_all(depth)))
+    assert text + "\n" == (GOLDEN / name).read_text()

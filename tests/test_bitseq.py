@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -178,6 +179,25 @@ def test_nat_row_beyond_decimal_digit_limit(r, start, n):
     assert s.block(start, n) == per_bit_block(s, start, n)
     lsb_first = bin(r)[2:][::-1]
     assert prefix(s, n) == lsb_first[:n].ljust(n, "0")
+
+
+@pytest.mark.parametrize(
+    "build, shape",
+    [
+        (lambda s: repr(s), "BitSeq(nat_row({}))"),
+        (lambda s: diagonal.constant(s).description, "constant(nat_row({}))"),
+        (lambda s: prepend("01", s).description, "prepend(01, nat_row({}))"),
+        (lambda s: complement(s).description, "complement(nat_row({}))"),
+    ],
+    ids=["repr", "constant", "prepend", "complement"],
+)
+def test_nat_row_description_decimal_then_hex(build, shape):
+    limit = sys.get_int_max_str_digits()
+    if limit == 0:
+        pytest.skip("no int-to-str digit limit in this interpreter")
+    widest = 10**limit - 1  # the most digits the interpreter converts
+    assert build(nat_row(widest)) == shape.format("9" * limit)
+    assert build(nat_row(widest + 1)) == shape.format(hex(widest + 1))
 
 
 @given(sequences, starts, st.integers(min_value=0, max_value=80))
