@@ -1,9 +1,9 @@
 """Enumeration budget: a global guard against accidentally materializing
 astronomically large finite sets.
 
-Operations that enumerate 2^k items take an optional ``budget`` argument;
-when omitted, the default budget is 2^24 items, overridable through the
-ENUMERLAB_BUDGET environment variable.
+Operations that enumerate 2^k items check the request against one budget:
+2^24 items by default, overridable through the ENUMERLAB_BUDGET
+environment variable, the only place it is set.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ def enumeration_budget() -> int:
     return value
 
 
-def check_budget(requested: int, budget: int | None = None) -> None:
-    """Raise BudgetError if `requested` items exceed the effective budget."""
-    effective = enumeration_budget() if budget is None else budget
-    if requested > effective:
-        raise BudgetError(requested, effective)
+def check_budget(requested: int) -> None:
+    """Raise BudgetError if `requested` items exceed the current budget."""
+    budget = enumeration_budget()
+    if requested > budget:
+        raise BudgetError(requested, budget)

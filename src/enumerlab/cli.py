@@ -1,8 +1,10 @@
 """Command-line frontend.
 
-Subcommands: pair, tree, matrix, diag, audit, fig.  Exit status: 0 success,
-1 when an audit run contains a refuted claim (still a successful run), 2 on
-usage errors (a negative count or depth, a malformed ENUMERLAB_BUDGET
+Subcommands: pair, tree, matrix, diag, audit, fig, all declared in one
+table, `_COMMANDS`, that drives both the parser and the dispatch.  Exit
+status: 0 success, 1 when an audit run contains a refuted claim (still a
+successful run), 2 on usage errors (a negative count or depth, a malformed
+ENUMERLAB_BUDGET, a file that cannot be read or written, a closed stdout
 included), 3 on depth/budget errors, 4 on an internal fault (one
 "internal error:" line on stderr, never a verdict).  Output is
 byte-deterministic for fixed inputs; audit JSON includes an elapsed_ms
@@ -12,7 +14,9 @@ field that golden comparisons must exclude.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 
 from . import audit, bitseq, diagonal, dsl, figures, listmatrix, pairing, tree
@@ -26,103 +30,26 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="enumerlab",
-        description="Exact enumeration laboratory: grid bijections, tree "
-        "paths, the truth-table matrix, diagonalization certificates, and "
-        "an auditable claim catalog.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    pair = sub.add_parser("pair", help="grid pairs and the boustrophedon walk")
-    pair_sub = pair.add_subparsers(dest="action", required=True)
-    p = pair_sub.add_parser("encode", help="walk position of a grid pair")
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
-    p = pair_sub.add_parser("decode", help="grid pair at a walk position")
-    p.add_argument("index", type=int)
-    p = pair_sub.add_parser("level", help="grid pairs of one tree level")
-    p.add_argument("k", type=int)
-    p.add_argument("--budget", type=int, default=None)
-    p = pair_sub.add_parser("rowlabel", help="walk position of the first element of a row")
-    p.add_argument("i", type=int)
-
-    tr = sub.add_parser("tree", help="finite truncations of the binary tree")
-    tree_sub = tr.add_subparsers(dest="action", required=True)
-    p = tree_sub.add_parser("paths", help="all root paths of one length")
-    p.add_argument("i", type=int)
-    p.add_argument("--budget", type=int, default=None)
-    p = tree_sub.add_parser("count", help="non-root node count to a depth")
-    p.add_argument("i", type=int)
-
-    mx = sub.add_parser("matrix", help="the truth-table matrix")
-    mx_sub = mx.add_subparsers(dest="action", required=True)
-    p = mx_sub.add_parser("entry", help="one matrix bit")
-    p.add_argument("r", type=int)
-    p.add_argument("c", type=int)
-    p = mx_sub.add_parser("row", help="prefix of one matrix row")
-    p.add_argument("r", type=int)
-    p.add_argument("--prefix", type=int, default=32)
-    p = mx_sub.add_parser("submatrix", help="row prefixes of the 2^i by i submatrix")
-    p.add_argument("i", type=int)
-    p.add_argument("--budget", type=int, default=None)
-    p = mx_sub.add_parser("labels", help="walk labels of the first N rows")
-    p.add_argument("n", type=int)
-
-    dg = sub.add_parser("diag", help="diagonal complement over a program enumeration")
-    dg_sub = dg.add_subparsers(dest="action", required=True)
-    for name, help_text in [
-        ("apply", "print listed rows and the diagonal complement"),
-        ("cert", "emit disagreement certificates"),
-    ]:
-        p = dg_sub.add_parser(name, help=help_text)
-        p.add_argument("program", nargs="?", default=None)
-        p.add_argument("--program-file", default=None)
-        p.add_argument("--rows", type=int, default=8)
-        if name == "apply":
-            p.add_argument("--prefix", type=int, default=32)
-        if name == "cert":
-            p.add_argument("--format", choices=["json", "markdown"], default="json")
-
-    au = sub.add_parser("audit", help="run the claim catalog")
-    au.add_argument("--depth", type=int, default=10)
-    au.add_argument("--claim", default=None, help="run a single claim (C1..C10)")
-    au.add_argument("--format", choices=["json", "markdown"], default="json")
-    au.add_argument("--out", default=None)
-
-    fg = sub.add_parser("fig", help="render one of the six constructions as SVG")
-    fg.add_argument("n", type=int, help="figure number, 1..6")
-    fg.add_argument("--depth", type=int, default=None)
-    fg.add_argument("--rows", type=int, default=None)
-    fg.add_argument("--cols", type=int, default=None)
-    fg.add_argument("--diagonals", type=int, default=None)
-    fg.add_argument("--size", type=int, default=None)
-    fg.add_argument("--out", default=None)
-
-    return parser
+# exception class -> exit status and the one line printed to stderr; the
+# first matching row wins
+_ERRORS = (
+    (BudgetError, EXIT_BUDGET, "budget error: {}"),
+    (dsl.ParseError, EXIT_USAGE, "error: program error at {}"),
+    ((ValueError, OSError), EXIT_USAGE, "error: {}"),
+    (Exception, EXIT_INTERNAL, "internal error: {0.__class__.__name__}: {0}"),
+)
 
 
-def _load_program(args) -> str:
-    if args.program is not None and args.program_file is not None:
-        raise _UsageError("give a program either inline or via --program-file, not both")
-    if args.program is not None:
-        return args.program
-    if args.program_file is not None:
-        with open(args.program_file, encoding="utf-8") as fh:
-            return fh.read().strip()
-    raise _UsageError("a program is required (inline or --program-file)")
+def _arg(*flags, **kwargs):
+    """One argparse argument, as given to add_argument."""
+    return flags, kwargs
 
 
-class _UsageError(Exception):
-    pass
-
-
-def _check_count(name: str, value: int) -> None:
+def _count(name: str, value: int) -> int:
     """A number of items to print must be a natural number."""
     if value < 0:
-        raise _UsageError(f"{name} must be >= 0, got {value}")
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -133,150 +60,170 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _run_pair(args) -> int:
-    if args.action == "encode":
-        print(pairing.zigzag_encode(pairing.GridPair(args.m, args.n)))
-    elif args.action == "decode":
-        p = pairing.zigzag_decode(args.index)
-        print(f"{p.m} {p.n}")
-    elif args.action == "level":
-        for p in pairing.level_pairs(args.k, args.budget):
-            print(f"{p.m} {p.n}")
-    elif args.action == "rowlabel":
-        print(pairing.row_label(args.i))
-    return EXIT_OK
+def _grid_pair(p: pairing.GridPair) -> str:
+    return f"{p.m} {p.n}"
 
 
-def _run_tree(args) -> int:
-    if args.action == "paths":
-        for path in tree.paths_at_depth(args.i, args.budget):
-            print(path)
-    elif args.action == "count":
-        print(tree.node_count(args.i))
-    return EXIT_OK
-
-
-def _run_matrix(args) -> int:
-    if args.action == "entry":
-        print(listmatrix.entry(args.r, args.c))
-    elif args.action == "row":
-        print(bitseq.prefix(bitseq.nat_row(args.r), args.prefix))
-    elif args.action == "submatrix":
-        for row in sorted(listmatrix.submatrix_rows(args.i, args.budget)):
-            print(row)
-    elif args.action == "labels":
-        _check_count("n", args.n)
-        for i in range(args.n):
-            print(pairing.row_label(i))
-    return EXIT_OK
-
-
-def _program_enumeration(text: str) -> diagonal.Enumeration:
+def _enumeration(args) -> diagonal.Enumeration:
+    """The enumeration denoted by the program given inline or in a file."""
+    _count("--rows", args.rows)
+    if args.program is not None and args.program_file is not None:
+        raise ValueError("give a program either inline or via --program-file, not both")
+    text = args.program
+    if args.program_file is not None:
+        with open(args.program_file, encoding="utf-8") as fh:
+            text = fh.read().strip()
+    if text is None:
+        raise ValueError("a program is required (inline or --program-file)")
     ast = dsl.parse(text)
     if ast.is_seq:
-        raise _UsageError(
-            "the diagonal operator needs an enumeration program, got a sequence"
-        )
+        raise ValueError("the diagonal operator needs an enumeration program, got a sequence")
     return dsl.eval_enum(ast)
 
 
-def _run_diag(args) -> int:
-    _check_count("--rows", args.rows)
-    text = _load_program(args)
-    try:
-        E = _program_enumeration(text)
-    except dsl.ParseError as exc:
-        raise _UsageError(f"program error at {exc.line}:{exc.column}: {exc.message}")
-    if args.action == "apply":
-        for r in range(args.rows):
-            print(f"row {r}: {bitseq.prefix(E.row(r), args.prefix)}")
-        x = diagonal.antidiagonal(E)
-        print(f"diagonal complement: {bitseq.prefix(x, args.prefix)}")
-        return EXIT_OK
+def _diag_apply(args):
+    E = _enumeration(args)
+    for r in range(args.rows):
+        yield f"row {r}: {bitseq.prefix(E.row(r), args.prefix)}"
+    yield f"diagonal complement: {bitseq.prefix(diagonal.antidiagonal(E), args.prefix)}"
+
+
+def _diag_cert(args) -> list[str]:
+    E = _enumeration(args)
     certs = diagonal.certificates(E, args.rows)
     x = diagonal.antidiagonal(E)
     for cert in certs:
         if not diagonal.check_certificate(E, x, cert):
             raise RuntimeError(f"certificate failed revalidation: {cert}")
     if args.format == "json":
-        payload = [
-            {
-                "row": c.row,
-                "position": c.position,
-                "left_bit": c.left_bit,
-                "right_bit": c.right_bit,
-            }
-            for c in certs
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        for c in certs:
-            print(
-                f"row {c.row}: position {c.position}, "
-                f"complement bit {c.left_bit}, row bit {c.right_bit}"
-            )
-    return EXIT_OK
+        return [json.dumps([dataclasses.asdict(c) for c in certs], indent=2)]
+    return [
+        f"row {c.row}: position {c.position}, "
+        f"complement bit {c.left_bit}, row bit {c.right_bit}"
+        for c in certs
+    ]
 
 
-def _run_audit(args) -> int:
-    if args.claim is not None:
-        reports = [audit.run_claim(args.claim, args.depth)]
-    else:
+def _audit(args) -> int:
+    if args.claim is None:
         reports = audit.run_all(args.depth)
-    if args.format == "json":
-        text = audit.reports_to_json(reports) + "\n"
     else:
-        text = audit.reports_to_markdown(reports)
-    _emit(text, args.out)
+        reports = [audit.run_claim(args.claim, args.depth)]
+    if args.format == "json":
+        _emit(audit.reports_to_json(reports) + "\n", args.out)
+    else:
+        _emit(audit.reports_to_markdown(reports), args.out)
     refuted = any(r.status == audit.REFUTED for r in reports)
     return EXIT_REFUTED if refuted else EXIT_OK
 
 
-def _run_fig(args) -> int:
-    svg = figures.render_figure(
-        args.n,
-        depth=args.depth,
-        rows=args.rows,
-        cols=args.cols,
-        diagonals=args.diagonals,
-        size=args.size,
-    )
-    _emit(svg, args.out)
+_FIG_SIZES = ("depth", "rows", "cols", "diagonals", "size")
+
+
+def _fig(args) -> int:
+    _emit(figures.render_figure(args.n, **{k: getattr(args, k) for k in _FIG_SIZES}), args.out)
     return EXIT_OK
 
 
-_RUNNERS = {
-    "pair": _run_pair,
-    "tree": _run_tree,
-    "matrix": _run_matrix,
-    "diag": _run_diag,
-    "audit": _run_audit,
-    "fig": _run_fig,
+_FORMAT = _arg("--format", choices=["json", "markdown"], default="json")
+_PROGRAM = [_arg("program", nargs="?"), _arg("--program-file"), _arg("--rows", type=int, default=8)]
+
+# command -> (help, action -> (help, arguments, run)).  A command without
+# actions has the single action None and takes its arguments itself.  `run`
+# gets the parsed arguments and returns the lines to print, or, for audit
+# and fig, which write through _emit, the exit status.
+_COMMANDS = {
+    "pair": ("grid pairs and the boustrophedon walk", {
+        "encode": ("walk position of a grid pair", [_arg("m", type=int), _arg("n", type=int)],
+                   lambda a: [pairing.zigzag_encode(pairing.GridPair(a.m, a.n))]),
+        "decode": ("grid pair at a walk position", [_arg("index", type=int)],
+                   lambda a: [_grid_pair(pairing.zigzag_decode(a.index))]),
+        "level": ("grid pairs of one tree level", [_arg("k", type=int)],
+                  lambda a: map(_grid_pair, pairing.level_pairs(a.k))),
+        "rowlabel": ("walk position of the first element of a row", [_arg("i", type=int)],
+                     lambda a: [pairing.row_label(a.i)]),
+    }),
+    "tree": ("finite truncations of the binary tree", {
+        "paths": ("all root paths of one length", [_arg("i", type=int)],
+                  lambda a: tree.paths_at_depth(a.i)),
+        "count": ("non-root node count to a depth", [_arg("i", type=int)],
+                  lambda a: [tree.node_count(a.i)]),
+    }),
+    "matrix": ("the truth-table matrix", {
+        "entry": ("one matrix bit", [_arg("r", type=int), _arg("c", type=int)],
+                  lambda a: [listmatrix.entry(a.r, a.c)]),
+        "row": ("prefix of one matrix row",
+                [_arg("r", type=int), _arg("--prefix", type=int, default=32)],
+                lambda a: [bitseq.prefix(bitseq.nat_row(a.r), a.prefix)]),
+        "submatrix": ("row prefixes of the 2^i by i submatrix", [_arg("i", type=int)],
+                      lambda a: sorted(listmatrix.submatrix_rows(a.i))),
+        "labels": ("walk labels of the first N rows", [_arg("n", type=int)],
+                   lambda a: map(pairing.row_label, range(_count("n", a.n)))),
+    }),
+    "diag": ("diagonal complement over a program enumeration", {
+        "apply": ("print listed rows and the diagonal complement",
+                  _PROGRAM + [_arg("--prefix", type=int, default=32)], _diag_apply),
+        "cert": ("emit disagreement certificates", _PROGRAM + [_FORMAT], _diag_cert),
+    }),
+    "audit": ("run the claim catalog", {None: (None, [
+        _arg("--depth", type=int, default=10),
+        _arg("--claim", choices=audit.CLAIM_IDS, metavar="CLAIM",
+             help="run a single claim (C1..C10)"),
+        _FORMAT,
+        _arg("--out"),
+    ], _audit)}),
+    "fig": ("render one of the six constructions as SVG", {None: (None, [
+        _arg("n", type=int, help="figure number, 1..6"),
+        *(_arg(f"--{name}", type=int) for name in _FIG_SIZES),
+        _arg("--out"),
+    ], _fig)}),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="enumerlab",
+        description="Exact enumeration laboratory: grid bijections, tree "
+        "paths, the truth-table matrix, diagonalization certificates, and "
+        "an auditable claim catalog.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, actions) in _COMMANDS.items():
+        p = commands.add_parser(command, help=help_text)
+        if None not in actions:
+            sub = p.add_subparsers(dest="action", required=True)
+        for action, (action_help, arguments, _) in actions.items():
+            target = p if action is None else sub.add_parser(action, help=action_help)
+            for flags, kwargs in arguments:
+                target.add_argument(*flags, **kwargs)
+    return parser
 
 
 def dispatch(argv: list[str]) -> int:
     """Parse argv and run the selected subcommand, mapping errors to the
     documented exit codes."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    run = _COMMANDS[args.command][1][getattr(args, "action", None)][2]
     try:
-        return _RUNNERS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetError as exc:
-        print(f"budget error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        status = run(args)
+        if not isinstance(status, int):
+            for line in status:
+                print(line)
+            status = EXIT_OK
+        # a closed stdout shows here, not in the flush at interpreter exit
+        sys.stdout.flush()
+        return status
     except Exception as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        status, message = next((s, m) for cls, s, m in _ERRORS if isinstance(exc, cls))
+        if isinstance(exc, BrokenPipeError):
+            # the reader closed stdout: send what is still buffered to
+            # devnull, so the flush at exit prints no second message
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(message.format(exc), file=sys.stderr)
+        return status
 
 
 def main() -> None:

@@ -28,6 +28,7 @@ type (sequence expression where an enumeration is required, or vice versa).
 
 from __future__ import annotations
 
+import string
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -148,6 +149,13 @@ class _Token:
     column: int
 
 
+# ASCII only, as the grammar says: str.isdigit also takes '²', which int()
+# rejects, and '١', which int() reads as 1
+_LETTERS = frozenset(string.ascii_letters)
+_DIGITS = frozenset(string.digits)
+_LETTERS_DIGITS = _LETTERS | _DIGITS
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens = []
     i = 0
@@ -165,15 +173,15 @@ def _tokenize(text: str) -> list[_Token]:
             i += 1
             continue
         col = i - line_start + 1
-        if ch.isalpha():
+        if ch in _LETTERS:
             j = i
-            while j < n and (text[j].isalpha() or text[j].isdigit()):
+            while j < n and text[j] in _LETTERS_DIGITS:
                 j += 1
             tokens.append(_Token("name", text[i:j], i, line, col))
             i = j
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("digits", text[i:j], i, line, col))
             i = j

@@ -40,7 +40,7 @@ def matrix_enumeration() -> Enumeration:
     return Enumeration(nat_row, description="truth-table matrix")
 
 
-def submatrix_rows(i: int, budget: int | None = None) -> set[str]:
+def submatrix_rows(i: int) -> set[str]:
     """The set of length-i prefixes of the first 2^i rows.
 
     Contract: equals the full set of length-i bit strings, each occurring
@@ -50,5 +50,5 @@ def submatrix_rows(i: int, budget: int | None = None) -> set[str]:
     """
     if i < 1:
         raise ValueError(f"submatrix width must be >= 1, got {i}")
-    check_budget(1 << i, budget)
+    check_budget(1 << i)
     return {prefix(nat_row(r), i) for r in range(1 << i)}

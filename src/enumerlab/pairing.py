@@ -99,7 +99,7 @@ def zigzag_walk() -> Iterator[GridPair]:
         d += 1
 
 
-def level_pairs(k: int, budget: int | None = None) -> list[GridPair]:
+def level_pairs(k: int) -> list[GridPair]:
     """The grid pairs of tree level k, in offset order.
 
     Exactly [(0, 2^k - 1), (1, 2^k - 2), ..., (2^k - 1, 0)]; every pair has
@@ -108,7 +108,7 @@ def level_pairs(k: int, budget: int | None = None) -> list[GridPair]:
     if k < 0:
         raise ValueError(f"level must be >= 0, got {k}")
     size = 1 << k
-    check_budget(size, budget)
+    check_budget(size)
     top = size - 1
     return [GridPair(j, top - j) for j in range(size)]
 

@@ -46,14 +46,14 @@ def addr_to_path(a: NodeAddr) -> str:
     return format(a.offset, f"0{a.level}b")
 
 
-def paths_at_depth(i: int, budget: int | None = None) -> Iterator[str]:
+def paths_at_depth(i: int) -> Iterator[str]:
     """All 2^i root paths of length i, in offset order (00..0 first).
 
     The budget is checked eagerly, before the iterator is handed out.
     """
     if i < 1:
         raise ValueError(f"path length must be >= 1, got {i}")
-    check_budget(1 << i, budget)
+    check_budget(1 << i)
     return (format(offset, f"0{i}b") for offset in range(1 << i))
 
 

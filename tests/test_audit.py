@@ -195,8 +195,8 @@ def test_elapsed_ns_and_ms():
 def test_c1_refutation_witness(monkeypatch, moves, witness):
     real = pairing.level_pairs
 
-    def level_pairs(k, budget=None):
-        pairs = real(k, budget)
+    def level_pairs(k):
+        pairs = real(k)
         for (level, j), (to_level, to_j) in moves.items():
             if level == k:
                 pairs[j] = real(to_level)[to_j]

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from enumerlab import cli, diagonal
+from dsl_corpus import corpus_asts
+from enumerlab import cli, diagonal, dsl
 from enumerlab.cli import dispatch
 
 
@@ -174,26 +180,52 @@ def test_env_budget_override(capsys, monkeypatch):
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
-def readme_commands(out_dir):
-    """argv of every `enumerlab ...` line in the README, with --out paths
-    moved into out_dir."""
-    commands = []
-    for line in README.read_text(encoding="utf-8").splitlines():
-        if line.startswith("enumerlab "):
-            argv = shlex.split(line, comments=True)[1:]
-            if "--out" in argv:
-                i = argv.index("--out") + 1
-                argv[i] = str(out_dir / argv[i])
-            commands.append(argv)
-    return commands
+def readme_commands():
+    """argv of every `enumerlab ...` line in the README."""
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in README.read_text(encoding="utf-8").splitlines()
+        if line.startswith("enumerlab ")
+    ]
+
+
+def out_in(argv, out_dir):
+    """argv with its --out path moved into out_dir."""
+    return [
+        str(out_dir / arg) if i and argv[i - 1] == "--out" else arg
+        for i, arg in enumerate(argv)
+    ]
+
+
+def test_readme_commands_match_golden(capsys, tmp_path):
+    # stdout and exit status of every README command are pinned; audit
+    # JSON is compared with elapsed_ms zeroed
+    golden = json.loads((GOLDEN / "readme_commands.json").read_text(encoding="utf-8"))
+    commands = readme_commands()
+    assert [shlex.join(argv) for argv in commands] == list(golden)
+    for argv in commands:
+        code, out, err = run(capsys, *out_in(argv, tmp_path))
+        out = re.sub(r'"elapsed_ms": [0-9]+', '"elapsed_ms": 0', out)
+        assert {"exit": code, "stdout": out} == golden[shlex.join(argv)], argv
+        assert err == ""
+
+
+def test_readme_covers_command_table():
+    documented = set()
+    for argv in readme_commands():
+        actions = cli._COMMANDS[argv[0]][1]
+        documented.add((argv[0], None if None in actions else argv[1]))
+    table = {(c, a) for c, (_, actions) in cli._COMMANDS.items() for a in actions}
+    assert table == documented
 
 
 def test_every_module_reachable(capsys, tmp_path):
     # the README says the entry point exposes every module: run its
     # commands and record which enumerlab modules execute code
-    commands = readme_commands(tmp_path)
+    commands = [out_in(argv, tmp_path) for argv in readme_commands()]
     assert len(commands) >= 14
     entered = set()
 
@@ -298,3 +330,131 @@ def test_diag_cert_revalidation_fault_under_optimize():
         "internal error: RuntimeError: certificate failed revalidation: "
     )
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diag", "apply", "--program-file", "{tmp}/missing.txt"],
+        ["audit", "--depth", "2", "--out", "{tmp}/missing/x.json"],
+        ["fig", "5", "--out", "{tmp}/missing/x.svg"],
+    ],
+    ids=["program-file", "audit-out", "fig-out"],
+)
+def test_io_error_is_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno 2] No such file or directory: ")
+    assert err.count("\n") == 1
+
+
+def _cli_process(argv, stdout):
+    """`python -m enumerlab.cli argv` with block-buffered stdout, as from a shell."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen(
+        [sys.executable, "-m", "enumerlab.cli", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, env=env,
+    )
+
+
+def test_stdout_closed_midway_is_usage_error():
+    # the reader goes away after one line, like `enumerlab tree paths 18 | head -1`
+    proc = _cli_process(["tree", "paths", "18"], subprocess.PIPE)
+    assert proc.stdout.readline() == b"000000000000000000\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+def test_stdout_closed_before_start_is_usage_error():
+    # the output fits the buffer, so the pipe error shows only on a flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    proc = _cli_process(["pair", "encode", "3", "0"], write_end)
+    os.close(write_end)
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("command", ["pair level 3", "tree paths 3", "matrix submatrix 3"])
+def test_budget_flag_is_gone(capsys, command):
+    code, out, err = run(capsys, *command.split(), "--budget", "0")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --budget 0" in err
+
+
+def test_unknown_claim_rejected_by_parser(capsys):
+    code, out, err = run(capsys, "audit", "--claim", "C11")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "enumerlab audit: error: argument --claim: invalid choice: 'C11' (choose from "
+        + ", ".join(repr(c) for c in cli.audit.CLAIM_IDS) + ")"
+    )
+
+
+def test_internal_key_error_exit_code(capsys, monkeypatch):
+    def fault(claim_id, depth):
+        raise KeyError("lookup inside a claim")
+
+    monkeypatch.setattr(cli.audit, "run_claim", fault)
+    code, out, err = run(capsys, "audit", "--claim", "C2")
+    assert (code, out) == (4, "")
+    assert err == "internal error: KeyError: 'lookup inside a claim'\n"
+
+
+@pytest.mark.parametrize("program,column", [("natrow(²)", 8), ("const(natrow(١٢٣))", 14)])
+def test_non_ascii_program_rejected(capsys, program, column):
+    code, out, err = run(capsys, "diag", "apply", program)
+    assert (code, out) == (2, "")
+    assert err == f"error: program error at 1:{column}: unexpected character {program[column - 1]!r}\n"
+
+
+# every (command, action) row of the table with the arguments it takes;
+# file arguments are left out, so no example reads or writes a file
+_ROWS = [
+    (command, action, [a for a in arguments if a[0][0] not in ("--out", "--program-file")])
+    for command, (_, actions) in cli._COMMANDS.items()
+    for action, (_, arguments, _) in actions.items()
+]
+_PROGRAM_TEXTS = sorted({dsl.unparse(ast) for ast in corpus_asts(size=60)})
+
+
+@st.composite
+def table_argv(draw):
+    """An argv argparse accepts, built from one row of the command table."""
+    command, action, arguments = draw(st.sampled_from(_ROWS))
+    argv = [command] if action is None else [command, action]
+    for (name, *_), kwargs in arguments:
+        if kwargs.get("type") is int:
+            value = str(draw(st.integers(min_value=-3, max_value=64)))
+        elif "choices" in kwargs:
+            value = draw(st.sampled_from(kwargs["choices"]))
+        else:
+            value = draw(
+                st.sampled_from(_PROGRAM_TEXTS)
+                | st.text(max_size=12).filter(lambda t: not t.startswith("-"))
+            )
+        if not name.startswith("-"):
+            argv.append(value)
+        elif draw(st.booleans()):
+            argv += [name, value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_argv())
+def test_any_table_argv_exits_cleanly(argv):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("ENUMERLAB_BUDGET", "4096")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = dispatch(argv)
+    err = stderr.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert err.count("\n") <= 1 and "Traceback" not in err, (argv, err)

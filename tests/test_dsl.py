@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsl_corpus import PRODUCTION_SAMPLES, corpus_asts
 from enumerlab.bitseq import nat_row, prefix
@@ -123,6 +125,47 @@ def test_natrow_literal_beyond_digit_limit():
 def test_unexpected_character():
     with pytest.raises(ParseError):
         parse("compl(ones);")
+
+
+@pytest.mark.parametrize(
+    "text,column",
+    [("natrow(²)", 8), ("natrow(١٢٣)", 8), ("natrow(1١)", 9), ("zérös", 2), ("ones٣", 5)],
+)
+def test_non_ascii_letters_and_digits_rejected(text, column):
+    # str.isdigit accepts these; the grammar is ASCII only
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (1, column)
+    assert exc.value.message == f"unexpected character {text[column - 1]!r}"
+
+
+_PROGRAMS = sorted({unparse(ast) for ast in corpus_asts(size=60)})
+
+
+@st.composite
+def _edited_programs(draw):
+    """A corpus program with one slice replaced by a short random text."""
+    text = draw(st.sampled_from(_PROGRAMS))
+    i = draw(st.integers(min_value=0, max_value=len(text)))
+    j = draw(st.integers(min_value=i, max_value=len(text)))
+    # digits of any script, which str.isdigit accepts
+    digits = st.characters(categories=("Nd", "No"))
+    return text[:i] + draw(st.text(max_size=4) | st.text(digits, max_size=4)) + text[j:]
+
+
+# short texts and depth-3 programs nest far below the recursion limit
+_TEXTS = st.text(max_size=40) | _edited_programs()
+
+
+@settings(max_examples=500)
+@given(_TEXTS)
+def test_every_text_parses_or_raises_parse_error(text):
+    try:
+        ast = parse(text)
+    except ParseError:
+        return
+    assert text.isascii()
+    assert parse(unparse(ast)) == ast
 
 
 def test_unparse_examples():

@@ -79,11 +79,12 @@ def test_submatrix_rows_coverage():
     assert rows == set(paths_at_depth(12))
 
 
-def test_submatrix_budget():
+def test_submatrix_budget(monkeypatch):
     with pytest.raises(BudgetError):
         submatrix_rows(31)
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "100")
     with pytest.raises(BudgetError):
-        submatrix_rows(10, budget=100)
+        submatrix_rows(10)
 
 
 def test_figure6_row_labels():

@@ -87,12 +87,13 @@ def test_level_pairs_antidiagonal_sum():
         assert all(p.m + p.n == 2**k - 1 for p in pairs)
 
 
-def test_level_pairs_budget():
+def test_level_pairs_budget(monkeypatch):
     with pytest.raises(BudgetError):
         level_pairs(30)
-    assert len(level_pairs(5, budget=32)) == 32
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "32")
+    assert len(level_pairs(5)) == 32
     with pytest.raises(BudgetError):
-        level_pairs(6, budget=32)
+        level_pairs(6)
 
 
 def test_node_to_pair_examples():

@@ -53,13 +53,14 @@ def test_paths_at_depth_counts():
     assert all(len(p) == 13 for p in seen)
 
 
-def test_paths_at_depth_validation():
+def test_paths_at_depth_validation(monkeypatch):
     with pytest.raises(ValueError):
         paths_at_depth(0)
     with pytest.raises(BudgetError):
         paths_at_depth(31)
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "512")
     with pytest.raises(BudgetError):
-        paths_at_depth(10, budget=512)
+        paths_at_depth(10)
 
 
 def test_prefix_chain_examples():
