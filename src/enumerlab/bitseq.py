@@ -1,15 +1,23 @@
-"""Total, lazily evaluated infinite binary sequences.
+"""Total, lazily evaluated infinite binary sequences and enumerations of
+them, kept as data.
 
-A BitSeq is a deterministic total rule mapping a 1-based position to a bit.
-Finite bit strings are plain Python strings over the alphabet {'0', '1'};
-that keeps them hashable and trivially comparable, which the coverage tests
-rely on.
+A BitSeq maps a 1-based position to a bit; an Enumeration maps a 0-based
+row index to a BitSeq.  Each is a node: an operator of the program
+language (see dsl), its literal and its children.  A user-supplied
+BitSeq(rule) or Enumeration(rule) is a leaf.  Finite bit strings are plain
+Python strings over the alphabet {'0', '1'}; that keeps them hashable and
+trivially comparable, which the coverage tests rely on.
 
 Every multi-bit read goes through one accessor, BitSeq.block(start, n),
 which packs bits start..start+n-1 into an int least-significant-bit first:
 sequence bit start+k is int bit k, the bit order of the truth-table matrix.
-A constructor may give a native block rule; without one, block packs the
-per-bit rule.
+One loop answers it by walking a single root-to-leaf path, carrying the
+position and a flip: complement flips the block, prepend answers from its
+head and goes on into its tail only for the part past the head, and zeros,
+ones, periodic and nat_row answer the whole block at once.  An antidiagonal
+and a BitSeq(rule) are read bit by bit.  Enumeration.row walks the
+enumeration operators the same way, down to a sequence.  Nothing recurses,
+so there is no nesting limit; descriptions are built by walks too.
 
 Sequence equality is undecidable in general, so no equality operation is
 offered; only prefix comparison (eq_prefix).  The double representation of
@@ -36,6 +44,26 @@ __all__ = [
     "eq_prefix",
 ]
 
+# operator: (the type it denotes, its signature, its name in descriptions).
+# A signature lists the literal ("bits" or "nat") and the children ("seq"
+# or "enum") in argument order, as the program language spells them.
+_OPERATORS = {
+    "zeros": ("seq", (), "zeros"),
+    "ones": ("seq", (), "ones"),
+    "periodic": ("seq", ("bits",), "periodic"),
+    "natrow": ("seq", ("nat",), "nat_row"),
+    "prepend": ("seq", ("bits", "seq"), "prepend"),
+    "compl": ("seq", ("seq",), "complement"),
+    "diagc": ("seq", ("enum",), "antidiagonal"),
+    "figure5": ("enum", (), "truth-table matrix"),
+    "const": ("enum", ("seq",), "constant"),
+    "interleave": ("enum", ("enum", "enum"), "interleave"),
+    "spliteven": ("enum", ("enum",), "spliteven"),
+    "splitodd": ("enum", ("enum",), "splitodd"),
+    "insert": ("enum", ("enum", "nat", "seq"), "insert"),
+}
+_BITS = frozenset("01")
+
 
 class PositionError(ValueError):
     """Sequence positions are 1-based; position 0 (or below) is invalid."""
@@ -46,41 +74,42 @@ def _bits_to_int(bits: str) -> int:
     return int(bits[::-1], 2) if bits else 0
 
 
-class BitSeq:
+class _Node:
+    """Operator `_op` with literal `_lit` and child nodes `_kids`.  A leaf
+    built from a user rule has operator "rule" and literal (rule,
+    description)."""
+
+    __slots__ = ("_op", "_lit", "_kids")
+
+    @property
+    def description(self) -> str:
+        return _render(self, _spell, ", ")
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.description})"
+
+
+class BitSeq(_Node):
     """An infinite binary sequence b_1 b_2 b_3 ...
 
     `rule` maps a 1-based position to 0 or 1 and must be deterministic and
-    total.  `block`, when given, maps (start, n) to bits start..start+n-1
-    packed least-significant-bit first and must agree with `rule`.
-    `eventually_zero_bound`, when set, asserts that every position beyond
-    the bound is 0 (finite support).  `description` is a string or a
-    zero-argument callable returning one, so that a description costing a
-    decimal conversion is only built when it is read.
+    total.  `eventually_zero_bound`, when set, asserts that every position
+    beyond the bound is 0 (finite support).
     """
 
-    __slots__ = ("_rule", "_block", "eventually_zero_bound", "_description")
+    __slots__ = ("eventually_zero_bound",)
 
     def __init__(
         self,
         rule: Callable[[int], int],
-        block: Callable[[int, int], int] | None = None,
         eventually_zero_bound: int | None = None,
-        description: str | Callable[[], str] = "bitseq",
+        description: str = "bitseq",
     ):
-        self._rule = rule
-        self._block = block
+        self._op, self._lit, self._kids = "rule", (rule, description), ()
         self.eventually_zero_bound = eventually_zero_bound
-        self._description = description
-
-    @property
-    def description(self) -> str:
-        d = self._description
-        return d if isinstance(d, str) else d()
 
     def bit_at(self, i: int) -> int:
-        if i < 1:
-            raise PositionError(f"positions are 1-based, got {i}")
-        return self._rule(i)
+        return self.block(i, 1)
 
     def block(self, start: int, n: int) -> int:
         """Bits start..start+n-1 as an int, bit start+k at int bit k."""
@@ -88,46 +117,177 @@ class BitSeq:
             raise PositionError(f"positions are 1-based, got {start}")
         if n < 0:
             raise ValueError(f"block length must be >= 0, got {n}")
-        if self._block is not None:
-            return self._block(start, n)
-        # map calls the rule with no generator frame in between, so a deep
-        # chain of fallback sequences recurses no deeper than through bit_at
-        bits = map(self._rule, range(start, start + n))
-        return _bits_to_int("".join(map("01".__getitem__, bits)))
+        return _read(self, start, n)
 
-    def __repr__(self) -> str:
-        return f"BitSeq({self.description})"
+
+class Enumeration(_Node):
+    """A total map from row index (0-based) to BitSeq: a "list" of
+    infinite binary sequences."""
+
+    __slots__ = ()
+
+    def __init__(self, rule: Callable[[int], BitSeq], description: str = "enum"):
+        self._op, self._lit, self._kids = "rule", (rule, description), ()
+
+    def row(self, i: int) -> BitSeq:
+        if i < 0:
+            raise ValueError(f"row indices are 0-based naturals, got {i}")
+        return _row(self, i)
+
+
+# the classes by the type an operator denotes; the walker reaches them
+# through this table, never through a module global a caller may rebind
+_CLASSES = {"seq": BitSeq, "enum": Enumeration}
+_new = object.__new__
+
+
+def _node(op: str, lit=None, kids: tuple = ()) -> _Node:
+    """Check the literal of operator `op` and build its node."""
+    if op == "natrow" and lit < 0:
+        raise ValueError(f"natural expected, got {_decimal_or_hex(lit)}")
+    if op == "insert" and lit < 0:
+        raise ValueError(f"insertion index must be >= 0, got {lit}")
+    if op == "periodic" and (not lit or set(lit) - _BITS):
+        raise ValueError(f"pattern must be a nonempty bit string, got {lit!r}")
+    if op == "prepend" and set(lit) - _BITS:
+        raise ValueError(f"bit string expected, got {lit!r}")
+    typ = _OPERATORS[op][0]
+    node = _new(_CLASSES[typ])
+    node._op, node._lit, node._kids = op, lit, kids
+    if typ == "seq":
+        # finite support: zeros, nat_row, and a prepend onto finite support
+        below = kids[0].eventually_zero_bound if op == "prepend" else None
+        node.eventually_zero_bound = (
+            0 if op == "zeros" else lit.bit_length() if op == "natrow"
+            else None if below is None else below + len(lit)
+        )
+    return node
+
+
+def _read(node: BitSeq, start: int, n: int) -> int:
+    """Bits start..start+n-1 of `node`, packed least-significant-bit first,
+    from one walk down one path.  `out` holds the `shift` bits already
+    answered by prepend heads; `flip` is 1 below an odd number of
+    complements.  An antidiagonal read of one bit goes on into the listed
+    row; a longer one walks once per bit."""
+    out = shift = flip = 0
+    while n:
+        op = node._op
+        if op == "compl":
+            flip ^= 1
+            node = node._kids[0]
+        elif op == "prepend":
+            head = node._lit
+            if start > len(head):
+                start -= len(head)
+            else:
+                part = head[start - 1 : start - 1 + n]
+                w = len(part)
+                bits = _bits_to_int(part)
+                out |= (bits ^ ((1 << w) - 1) if flip else bits) << shift
+                shift += w
+                n -= w
+                start = 1
+            node = node._kids[0]
+        elif op == "diagc":
+            if n > 1:
+                bits = 0
+                for k in range(n):
+                    bits |= _read(node, start + k, 1) << k
+                break
+            # bit i is the complement of bit i of row i-1
+            flip ^= 1
+            node = _row(node._kids[0], start - 1)
+        else:
+            if op == "natrow":
+                bits = (node._lit >> (start - 1)) & ((1 << n) - 1)
+            elif op == "periodic":
+                pattern = node._lit
+                o = (start - 1) % len(pattern)
+                bits = _bits_to_int((pattern[o:] + pattern * (n // len(pattern) + 1))[:n])
+            elif op == "ones":
+                bits = (1 << n) - 1
+            elif op == "zeros":
+                bits = 0
+            else:  # a user rule, read per bit
+                rule_bits = map(node._lit[0], range(start, start + n))
+                bits = _bits_to_int("".join(map("01".__getitem__, rule_bits)))
+            break
+    else:
+        return out
+    return out | (bits ^ ((1 << n) - 1) if flip else bits) << shift
+
+
+def _row(node: Enumeration, r: int) -> BitSeq:
+    """Row r of `node`: one walk down the enumeration operators, each of
+    which picks one child for the row."""
+    while True:
+        op = node._op
+        if op == "spliteven":
+            r *= 2
+            node = node._kids[0]
+        elif op == "splitodd":
+            r = 2 * r + 1
+            node = node._kids[0]
+        elif op == "interleave":
+            node = node._kids[r & 1]
+            r >>= 1
+        elif op == "insert":
+            if r == node._lit:
+                return node._kids[1]
+            if r > node._lit:
+                r -= 1
+            node = node._kids[0]
+        elif op == "const":
+            return node._kids[0]
+        elif op == "figure5":
+            return _node("natrow", r)
+        else:  # a user rule
+            return node._lit[0](r)
+
+
+def _render(root, spell: Callable, sep: str) -> str:
+    """Text of a tree, built without recursion: spell(node) gives a node's
+    head and its arguments in order, each a text or a child node."""
+    out: list[str] = []
+    todo = [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        head, args = spell(item)
+        out.append(f"{head}(" if args else head)
+        if args:
+            todo.append(")")
+            for k in range(len(args) - 1, 0, -1):
+                todo += (args[k], sep)
+            todo.append(args[0])
+    return "".join(out)
+
+
+def _spell(node: _Node) -> tuple[str, list]:
+    if node._op == "rule":
+        return node._lit[1], []
+    _, sig, name = _OPERATORS[node._op]
+    kids, lit = iter(node._kids), node._lit
+    return name, [
+        next(kids) if arg in _CLASSES else lit if arg == "bits" else _decimal_or_hex(lit)
+        for arg in sig
+    ]
 
 
 def zeros() -> BitSeq:
-    return BitSeq(
-        lambda i: 0,
-        block=lambda start, n: 0,
-        eventually_zero_bound=0,
-        description="zeros",
-    )
+    return _node("zeros")
 
 
 def ones() -> BitSeq:
-    return BitSeq(
-        lambda i: 1, block=lambda start, n: (1 << n) - 1, description="ones"
-    )
+    return _node("ones")
 
 
 def periodic(pattern: str) -> BitSeq:
     """Repeat a finite nonempty bit pattern forever: periodic("01") = 0101..."""
-    if not pattern or set(pattern) - {"0", "1"}:
-        raise ValueError(f"pattern must be a nonempty bit string, got {pattern!r}")
-    bits = tuple(int(ch) for ch in pattern)
-    p = len(bits)
-
-    def block(start: int, n: int) -> int:
-        o = (start - 1) % p
-        return _bits_to_int((pattern * ((o + n) // p + 1))[o : o + n])
-
-    return BitSeq(
-        lambda i: bits[(i - 1) % p], block=block, description=f"periodic({pattern})"
-    )
+    return _node("periodic", pattern)
 
 
 def _decimal_or_hex(r: int) -> str:
@@ -143,52 +303,17 @@ def nat_row(r: int) -> BitSeq:
     """The binary expansion of the natural r, least-significant bit first,
     padded with zeros: nat_row(6) = 0 1 1 0 0 0 ...
     """
-    if r < 0:
-        raise ValueError(f"natural expected, got {_decimal_or_hex(r)}")
-    # positional: a class call with keywords builds a dict, and a diagonal
-    # read over the matrix builds one nat_row per bit
-    return BitSeq(
-        lambda i: (r >> (i - 1)) & 1,
-        lambda start, n: (r >> (start - 1)) & ((1 << n) - 1),
-        r.bit_length(),
-        lambda: f"nat_row({_decimal_or_hex(r)})",
-    )
+    return _node("natrow", r)
 
 
 def prepend(bits: str, s: BitSeq) -> BitSeq:
     """Prefix a finite bit string onto a sequence."""
-    if set(bits) - {"0", "1"}:
-        raise ValueError(f"bit string expected, got {bits!r}")
-    head = tuple(int(ch) for ch in bits)
-    h = len(head)
-    bound = None
-    if s.eventually_zero_bound is not None:
-        bound = s.eventually_zero_bound + h
-
-    def block(start: int, n: int) -> int:
-        if start > h:
-            return s.block(start - h, n)
-        part = bits[start - 1 : start - 1 + n]
-        rest = n - len(part)
-        low = _bits_to_int(part)
-        # the tail is read only when the block runs past the head
-        return low | (s.block(1, rest) << len(part)) if rest else low
-
-    return BitSeq(
-        lambda i: head[i - 1] if i <= h else s.bit_at(i - h),
-        block=block,
-        eventually_zero_bound=bound,
-        description=lambda: f"prepend({bits}, {s.description})",
-    )
+    return _node("prepend", bits, (s,))
 
 
 def complement(s: BitSeq) -> BitSeq:
     """Flip every bit: the binary instantiation of "differs everywhere"."""
-    return BitSeq(
-        lambda i: 1 - s.bit_at(i),
-        block=lambda start, n: s.block(start, n) ^ ((1 << n) - 1),
-        description=lambda: f"complement({s.description})",
-    )
+    return _node("compl", None, (s,))
 
 
 def prefix(s: BitSeq, n: int) -> str:
@@ -217,6 +342,8 @@ def eq_prefix(a: BitSeq, b: BitSeq, n: int) -> int | None:
     so a difference at position p costs at most 2 * max(p, 64) bits per
     side, and nothing past position n is ever read.
     """
+    if n < 0:
+        raise ValueError(f"compared length n must be >= 0, got {n}")
     start = 1
     while start <= n:
         size = min(max(64, start - 1), n - start + 1)

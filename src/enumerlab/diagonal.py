@@ -2,11 +2,12 @@
 and the list transforms it interacts with (insert, split, interleave).
 
 An Enumeration is a total deterministic map from a 0-based row index to a
-BitSeq.  The diagonal complement x of an enumeration E flips the j-th bit of
-the j-th listed sequence: bit j of x is 1 - bit j of row j-1.  Row r and
-diagonal position r+1 therefore always pair up; every Certificate records
-that offset explicitly, because an off-by-one here silently breaks the
-construction.
+BitSeq.  Both are defined in bitseq, whose walker reads them; each
+constructor here checks its arguments and builds one node.  The diagonal
+complement x of an enumeration E flips the j-th bit of the j-th listed
+sequence: bit j of x is 1 - bit j of row j-1.  Row r and diagonal position
+r+1 therefore always pair up; every Certificate records that offset
+explicitly, because an off-by-one here silently breaks the construction.
 
 A Certificate is a machine-checkable proof that two sequences differ at a
 position; check_certificate revalidates one from nothing but public bit
@@ -16,9 +17,8 @@ lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
-from .bitseq import BitSeq
+from .bitseq import BitSeq, Enumeration, _node
 
 __all__ = [
     "Enumeration",
@@ -31,35 +31,6 @@ __all__ = [
     "split",
     "interleave",
 ]
-
-
-class Enumeration:
-    """A total map from row index (0-based) to BitSeq: a "list" of
-    infinite binary sequences.  As for BitSeq, `description` is a string or
-    a zero-argument callable returning one."""
-
-    __slots__ = ("_rule", "_description")
-
-    def __init__(
-        self,
-        rule: Callable[[int], BitSeq],
-        description: str | Callable[[], str] = "enum",
-    ):
-        self._rule = rule
-        self._description = description
-
-    @property
-    def description(self) -> str:
-        d = self._description
-        return d if isinstance(d, str) else d()
-
-    def row(self, i: int) -> BitSeq:
-        if i < 0:
-            raise ValueError(f"row indices are 0-based naturals, got {i}")
-        return self._rule(i)
-
-    def __repr__(self) -> str:
-        return f"Enumeration({self.description})"
 
 
 @dataclass(frozen=True)
@@ -82,23 +53,20 @@ class Certificate:
 
 def constant(s: BitSeq) -> Enumeration:
     """Every row is the same sequence."""
-    return Enumeration(
-        lambda i: s, description=lambda: f"constant({s.description})"
-    )
+    return _node("const", None, (s,))
 
 
 def antidiagonal(E: Enumeration) -> BitSeq:
     """The sequence x with bit j = 1 - (bit j of row j-1): differs from
     every row of E at the paired diagonal position."""
-    return BitSeq(
-        lambda j: 1 - E.row(j - 1).bit_at(j),
-        description=lambda: f"antidiagonal({E.description})",
-    )
+    return _node("diagc", None, (E,))
 
 
 def certificates(E: Enumeration, upto: int) -> list[Certificate]:
     """Disagreement certificates for the diagonal complement of E against
     each of the first `upto` rows."""
+    if upto < 0:
+        raise ValueError(f"row count upto must be >= 0, got {upto}")
     x = antidiagonal(E)
     out = []
     for r in range(upto):
@@ -116,39 +84,15 @@ def check_certificate(E: Enumeration, x: BitSeq, cert: Certificate) -> bool:
 
 def insert(E: Enumeration, k: int, s: BitSeq) -> Enumeration:
     """Insert s at row k, shifting rows k and beyond down by one."""
-    if k < 0:
-        raise ValueError(f"insertion index must be >= 0, got {k}")
-
-    def rule(i: int) -> BitSeq:
-        if i < k:
-            return E.row(i)
-        if i == k:
-            return s
-        return E.row(i - 1)
-
-    return Enumeration(
-        rule,
-        description=lambda: f"insert({E.description}, {k}, {s.description})",
-    )
+    return _node("insert", k, (E, s))
 
 
 def split(E: Enumeration) -> tuple[Enumeration, Enumeration]:
     """Separate even-indexed and odd-indexed rows into two reindexed
     enumerations: (i -> row 2i, i -> row 2i+1)."""
-    even = Enumeration(
-        lambda i: E.row(2 * i),
-        description=lambda: f"spliteven({E.description})",
-    )
-    odd = Enumeration(
-        lambda i: E.row(2 * i + 1),
-        description=lambda: f"splitodd({E.description})",
-    )
-    return even, odd
+    return _node("spliteven", None, (E,)), _node("splitodd", None, (E,))
 
 
 def interleave(Ea: Enumeration, Eb: Enumeration) -> Enumeration:
     """Inverse of split: row 2i comes from Ea, row 2i+1 from Eb."""
-    return Enumeration(
-        lambda i: Ea.row(i // 2) if i % 2 == 0 else Eb.row(i // 2),
-        description=lambda: f"interleave({Ea.description}, {Eb.description})",
-    )
+    return _node("interleave", None, (Ea, Eb))

@@ -1,5 +1,6 @@
 """A small closed expression language for building sequences and
-enumerations, with a recursive-descent parser.
+enumerations.  Parsing, evaluation and printing each work from an
+explicit stack, so programs of any nesting depth are accepted.
 
 Grammar (whitespace insignificant, ASCII only):
 
@@ -28,14 +29,13 @@ type (sequence expression where an enumeration is required, or vice versa).
 
 from __future__ import annotations
 
-import string
+import bisect
+import re
 import sys
 from dataclasses import dataclass, field
-from typing import Callable
 
-from . import bitseq, diagonal, listmatrix
-from .bitseq import BitSeq
-from .diagonal import Enumeration
+from . import bitseq
+from .bitseq import BitSeq, Enumeration
 
 __all__ = [
     "Ast",
@@ -54,46 +54,11 @@ __all__ = [
 _TYPENAME = {"seq": "sequence", "enum": "enumeration"}
 
 
-class _Op:
-    """One operator: the type of value it denotes ("seq" or "enum"), its
-    argument signature over "bits", "nat", "seq" and "enum", and its
-    constructor, called as build(literal, *evaluated subexpressions)."""
-
-    __slots__ = ("type", "sig", "operands", "build")
-
-    def __init__(self, type_: str, sig: tuple[str, ...], build: Callable):
-        self.type = type_
-        self.sig = sig
-        # the types of the subexpression arguments, in order
-        self.operands = tuple(arg for arg in sig if arg in _TYPENAME)
-        self.build = build
-
-
-# The constructors look their target up at call time (bitseq.zeros, not a
-# bound copy), so a module attribute rebound at run time, by a tracer or a
-# test, is seen by every evaluation.
-_OPS: dict[str, _Op] = {
-    "zeros": _Op("seq", (), lambda value: bitseq.zeros()),
-    "ones": _Op("seq", (), lambda value: bitseq.ones()),
-    "periodic": _Op("seq", ("bits",), lambda value: bitseq.periodic(value)),
-    "natrow": _Op("seq", ("nat",), lambda value: bitseq.nat_row(value)),
-    "prepend": _Op("seq", ("bits", "seq"), lambda value, s: bitseq.prepend(value, s)),
-    "compl": _Op("seq", ("seq",), lambda value, s: bitseq.complement(s)),
-    "diagc": _Op("seq", ("enum",), lambda value, E: diagonal.antidiagonal(E)),
-    "figure5": _Op("enum", (), lambda value: listmatrix.matrix_enumeration()),
-    "const": _Op("enum", ("seq",), lambda value, s: diagonal.constant(s)),
-    "interleave": _Op(
-        "enum", ("enum", "enum"), lambda value, Ea, Eb: diagonal.interleave(Ea, Eb)
-    ),
-    "spliteven": _Op("enum", ("enum",), lambda value, E: diagonal.split(E)[0]),
-    "splitodd": _Op("enum", ("enum",), lambda value, E: diagonal.split(E)[1]),
-    "insert": _Op(
-        "enum", ("enum", "nat", "seq"), lambda value, E, s: diagonal.insert(E, value, s)
-    ),
-}
-
-SEQ_KINDS = frozenset(k for k, op in _OPS.items() if op.type == "seq")
-ENUM_KINDS = frozenset(k for k, op in _OPS.items() if op.type == "enum")
+# The operators are those of bitseq._OPERATORS: operator -> (the type it
+# denotes, its argument signature over "bits", "nat", "seq" and "enum", its
+# name in descriptions).  Evaluating an operator builds its node.
+SEQ_KINDS = frozenset(k for k, op in bitseq._OPERATORS.items() if op[0] == "seq")
+ENUM_KINDS = frozenset(k for k, op in bitseq._OPERATORS.items() if op[0] == "enum")
 _KINDS = {"seq": SEQ_KINDS, "enum": ENUM_KINDS}
 
 
@@ -140,167 +105,137 @@ class ParseError(Exception):
         super().__init__(f"{line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "name", "digits", "lparen", "rparen", "comma", "eof"
-    text: str
-    offset: int
-    line: int
-    column: int
-
-
 # ASCII only, as the grammar says: str.isdigit also takes '²', which int()
-# rejects, and '١', which int() reads as 1
-_LETTERS = frozenset(string.ascii_letters)
-_DIGITS = frozenset(string.digits)
-_LETTERS_DIGITS = _LETTERS | _DIGITS
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        col = i - line_start + 1
-        if ch in _LETTERS:
-            j = i
-            while j < n and text[j] in _LETTERS_DIGITS:
-                j += 1
-            tokens.append(_Token("name", text[i:j], i, line, col))
-            i = j
-        elif ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("digits", text[i:j], i, line, col))
-            i = j
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i, line, col))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i, line, col))
-            i += 1
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, i, line, col))
-            i += 1
-        else:
-            raise ParseError(
-                f"unexpected character {ch!r}",
-                line,
-                col,
-                expected=frozenset({"name", "digits", "(", ")", ","}),
-            )
-    tokens.append(_Token("eof", "", n, line, n - line_start + 1))
-    return tokens
+# rejects, and '١', which int() reads as 1.  Blank space separates tokens;
+# any other character is an error.
+_TOKEN = re.compile(
+    r"(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<digits>[0-9]+)"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
+)
+_UNEXPECTED = re.compile(r"[^A-Za-z0-9(),\n\t\r ]")
 
 
 class _Parser:
+    """A token is a (kind, text, offset) triple, kind one of "name",
+    "digits", "lparen", "rparen", "comma" and "eof".  Lines and columns are
+    worked out from offsets where a span or an error needs them."""
+
     def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
+        self.newlines = [m.start() for m in re.finditer("\n", text)]
+        bad = _UNEXPECTED.search(text)
+        if bad is not None:
+            self._fail(
+                bad.start(),
+                f"unexpected character {bad.group()!r}",
+                expected=frozenset({"name", "digits", "(", ")", ","}),
+            )
+        self.tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        self.tokens.append(("eof", "", len(text)))
         self.pos = 0
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def _next(self) -> _Token:
+    def _next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def _fail(self, tok, message, expected=frozenset(), error_class="syntax"):
-        raise ParseError(message, tok.line, tok.column, expected, error_class)
+    def _position(self, offset: int) -> tuple[int, int]:
+        """1-based line and column of a text offset."""
+        line = bisect.bisect_left(self.newlines, offset)
+        line_start = self.newlines[line - 1] + 1 if line else 0
+        return line + 1, offset - line_start + 1
 
-    def _expect(self, kind: str, what: str) -> _Token:
-        tok = self._next()
-        if tok.kind != kind:
+    def _fail(self, offset, message, expected=frozenset(), error_class="syntax"):
+        raise ParseError(message, *self._position(offset), expected, error_class)
+
+    def parse_all(self, want: str) -> Ast:
+        """Parse the whole text as one expression of type `want` ("seq" or
+        "enum").  Each call of _expr waits on an explicit stack while its
+        subexpressions are parsed, so any nesting depth parses."""
+        stack = [self._expr(want)]
+        ast = None
+        while stack:
+            try:
+                want = stack[-1].send(ast)
+            except StopIteration as done:
+                stack.pop()
+                ast = done.value
+            else:
+                stack.append(self._expr(want))
+                ast = None
+        kind, text, offset = self.tokens[self.pos]
+        if kind != "eof":
             self._fail(
-                tok,
-                f"expected {what}, found {tok.text or 'end of input'!r}",
-                expected=frozenset({what}),
+                offset,
+                f"trailing input after expression: {text!r}",
+                expected=frozenset({"end of input"}),
             )
-        return tok
+        return ast
 
-    def parse_expr(self, want: str) -> Ast:
-        """Parse one expression of type `want` ("seq" or "enum").  Nested
-        arguments recurse straight back into parse_expr, one frame per
-        nesting level."""
+    def _expr(self, want: str):
+        """Parse one expression of type `want`: a generator that yields the
+        type of each subexpression and is sent back its Ast."""
         kinds = _KINDS[want]
-        tok = self._next()
-        if tok.kind != "name":
+        kind, name, offset = self._next()
+        if kind != "name":
             self._fail(
-                tok,
+                offset,
                 f"expected a {_TYPENAME[want]} expression, "
-                f"found {tok.text or 'end of input'!r}",
+                f"found {name or 'end of input'!r}",
                 expected=kinds,
             )
-        name = tok.text
-        op = _OPS.get(name)
+        op = bitseq._OPERATORS.get(name)
         if op is None:
-            self._fail(tok, f"unknown operator {name!r}", expected=kinds)
-        if op.type != want:
+            self._fail(offset, f"unknown operator {name!r}", expected=kinds)
+        if op[0] != want:
             self._fail(
-                tok,
-                f"{name!r} is an {_TYPENAME[op.type]} operator, "
+                offset,
+                f"{name!r} is an {_TYPENAME[op[0]]} operator, "
                 f"but a {_TYPENAME[want]} expression is required here",
                 expected=kinds,
                 error_class="type",
             )
-        sig = op.sig
+        sig = op[1]
         if not sig:
-            return Ast(name, span=self._span(tok, tok.offset + len(tok.text)))
-        self._expect("lparen", "(")
+            return Ast(name, span=Span(*self._position(offset), len(name)))
+        kind, text, at = self._next()
+        if kind != "lparen":
+            self._fail(at, f"expected (, found {text or 'end of input'!r}", frozenset({"("}))
         children: list[Ast] = []
         value: int | str | None = None
         for idx, arg in enumerate(sig):
             if idx > 0:
-                sep = self._next()
-                if sep.kind == "rparen":
-                    self._too_few(sep, name, sig, idx, ",")
-                if sep.kind != "comma":
-                    self._fail(
-                        sep,
-                        f"expected ',', found {sep.text!r}",
-                        expected=frozenset({","}),
-                    )
-            nxt = self._peek()
-            if nxt.kind == "rparen":
-                self._too_few(nxt, name, sig, idx, arg)
+                kind, text, at = self._next()
+                if kind == "rparen":
+                    self._too_few(at, name, sig, idx, ",")
+                if kind != "comma":
+                    self._fail(at, f"expected ',', found {text!r}", frozenset({","}))
+            kind, _, at = self.tokens[self.pos]
+            if kind == "rparen":
+                self._too_few(at, name, sig, idx, arg)
             if arg in _TYPENAME:
-                children.append(self.parse_expr(arg))
+                children.append((yield arg))
             else:
                 value = self._literal(arg)
-        closer = self._next()
-        if closer.kind == "comma":
+        kind, text, at = self._next()
+        if kind == "comma":
             self._fail(
-                closer,
+                at,
                 f"too many arguments to {name!r}: expected {len(sig)}",
                 expected=frozenset({")"}),
                 error_class="arity",
             )
-        if closer.kind != "rparen":
+        if kind != "rparen":
             self._fail(
-                closer,
-                f"expected ')', found {closer.text or 'end of input'!r}",
+                at,
+                f"expected ')', found {text or 'end of input'!r}",
                 expected=frozenset({")"}),
             )
-        end = closer.offset + 1
-        return Ast(name, tuple(children), value, self._span(tok, end))
+        span = Span(*self._position(offset), at + 1 - offset)
+        return Ast(name, tuple(children), value, span)
 
-    def _too_few(self, tok, name, sig, given, expected):
+    def _too_few(self, offset, name, sig, given, expected):
         self._fail(
-            tok,
+            offset,
             f"too few arguments to {name!r}: expected {len(sig)}, got {given}",
             expected=frozenset({expected}),
             error_class="arity",
@@ -308,50 +243,35 @@ class _Parser:
 
     def _literal(self, arg: str) -> int | str:
         """Consume a "bits" literal (kept as its text) or a "nat" one."""
-        lit = self._next()
-        if lit.kind != "digits" or (arg == "bits" and set(lit.text) - {"0", "1"}):
+        kind, text, offset = self._next()
+        if kind != "digits" or (arg == "bits" and set(text) - {"0", "1"}):
             what = "a bit string" if arg == "bits" else "a natural number"
             self._fail(
-                lit,
-                f"expected {what}, found {lit.text or 'end of input'!r}",
+                offset,
+                f"expected {what}, found {text or 'end of input'!r}",
                 expected=frozenset({arg}),
             )
         if arg == "bits":
-            return lit.text
+            return text
         limit = sys.get_int_max_str_digits()
-        if limit and len(lit.text) > limit:
+        if limit and len(text) > limit:
             self._fail(
-                lit,
-                f"natural number literal has {len(lit.text)} digits, "
+                offset,
+                f"natural number literal has {len(text)} digits, "
                 f"more than the limit of {limit}",
                 expected=frozenset({arg}),
             )
-        return int(lit.text)
-
-    def _span(self, head: _Token, end_offset: int) -> Span:
-        return Span(head.line, head.column, end_offset - head.offset)
-
-    def finish(self, ast: Ast) -> Ast:
-        tok = self._peek()
-        if tok.kind != "eof":
-            self._fail(
-                tok,
-                f"trailing input after expression: {tok.text!r}",
-                expected=frozenset({"end of input"}),
-            )
-        return ast
+        return int(text)
 
 
 def parse_seq(text: str) -> Ast:
     """Parse a sequence expression; raises ParseError on failure."""
-    p = _Parser(text)
-    return p.finish(p.parse_expr("seq"))
+    return _Parser(text).parse_all("seq")
 
 
 def parse_enum(text: str) -> Ast:
     """Parse an enumeration expression; raises ParseError on failure."""
-    p = _Parser(text)
-    return p.finish(p.parse_expr("enum"))
+    return _Parser(text).parse_all("enum")
 
 
 def parse(text: str) -> Ast:
@@ -361,43 +281,52 @@ def parse(text: str) -> Ast:
     type; unknown heads report the union of both operator sets.
     """
     p = _Parser(text)
-    head = p._peek()
-    op = _OPS.get(head.text) if head.kind == "name" else None
+    kind, name, offset = p.tokens[0]
+    op = bitseq._OPERATORS.get(name) if kind == "name" else None
     if op is None:
         p._fail(
-            head,
-            f"expected an expression, found {head.text or 'end of input'!r}",
+            offset,
+            f"expected an expression, found {name or 'end of input'!r}",
             expected=SEQ_KINDS | ENUM_KINDS,
         )
-    return p.finish(p.parse_expr(op.type))
+    return p.parse_all(op[0])
 
 
 def unparse(a: Ast) -> str:
     """Canonical textual form; parse(unparse(a)) == a modulo spans."""
-    op = _OPS.get(a.kind)
+    return bitseq._render(a, _spell, ",")
+
+
+def _spell(a: Ast) -> tuple[str, list]:
+    op = bitseq._OPERATORS.get(a.kind)
     if op is None:
         raise ValueError(f"unknown node kind {a.kind!r}")
-    if not op.sig:
-        return a.kind
-    parts: list[str] = []
-    child_iter = iter(a.children)
-    for arg in op.sig:
-        if arg in _TYPENAME:
-            parts.append(unparse(next(child_iter)))
-        else:
-            parts.append(str(a.value))
-    return f"{a.kind}({','.join(parts)})"
+    children = iter(a.children)
+    return a.kind, [next(children) if arg in _TYPENAME else str(a.value) for arg in op[1]]
 
 
-def _eval(a: Ast, want: str):
-    op = _OPS.get(a.kind)
-    if op is None or op.type != want:
-        article = "a" if want == "seq" else "an"
-        raise ValueError(f"not {article} {_TYPENAME[want]} expression: {a.kind!r}")
-    # map calls _eval directly: a comprehension or lambda here would add a
-    # second frame per nesting level and halve the deepest program that
-    # evaluates within the recursion limit
-    return op.build(a.value, *map(_eval, a.children, op.operands))
+def _eval(root: Ast, want: str):
+    """Build the node of every subexpression, children first, from an
+    explicit stack; None in place of a type marks an expression whose
+    children are built."""
+    todo: list[tuple[Ast, str | None]] = [(root, want)]
+    built: list = []
+    while todo:
+        a, want = todo.pop()
+        if want is None:
+            k = len(built) - len(a.children)
+            built[k:] = [bitseq._node(a.kind, a.value, tuple(built[k:]))]
+            continue
+        op = bitseq._OPERATORS.get(a.kind)
+        if op is None or op[0] != want:
+            article = "a" if want == "seq" else "an"
+            raise ValueError(f"not {article} {_TYPENAME[want]} expression: {a.kind!r}")
+        operands = [arg for arg in op[1] if arg in _TYPENAME]
+        if len(operands) != len(a.children):
+            raise ValueError(f"{a.kind!r} takes {len(operands)} subexpressions")
+        todo.append((a, None))
+        todo += zip(reversed(a.children), reversed(operands))
+    return built[0]
 
 
 def eval_seq(a: Ast) -> BitSeq:

@@ -15,9 +15,8 @@ caller enumerates.
 
 from __future__ import annotations
 
-from .bitseq import nat_row, prefix
+from .bitseq import Enumeration, _node, nat_row, prefix
 from .budget import check_budget
-from .diagonal import Enumeration
 
 __all__ = [
     "entry",
@@ -37,7 +36,7 @@ def matrix_enumeration() -> Enumeration:
     """The matrix as an enumeration: row r is nat_row(r), so bit i
     (1-based) of row r is entry(r, i-1), with no 1 past position
     bitlen(r)."""
-    return Enumeration(nat_row, description="truth-table matrix")
+    return _node("figure5")
 
 
 def submatrix_rows(i: int) -> set[str]:

@@ -258,3 +258,8 @@ def test_eq_prefix_reads_nothing_past_n(n, beyond):
     a, b, reads = counting_pair(n + 1 + beyond)
     assert eq_prefix(a, b, n) is None
     assert reads == [n, n]
+
+
+def test_eq_prefix_rejects_negative_length():
+    with pytest.raises(ValueError, match=r"\bn must be >= 0, got -1"):
+        eq_prefix(ones(), zeros(), -1)

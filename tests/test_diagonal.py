@@ -136,3 +136,9 @@ def test_row_index_validation():
         matrix_enumeration().row(-1)
     with pytest.raises(ValueError):
         insert(matrix_enumeration(), -2, zeros())
+
+
+def test_certificates_reject_negative_count():
+    with pytest.raises(ValueError, match=r"\bupto must be >= 0, got -2"):
+        certificates(matrix_enumeration(), -2)
+    assert certificates(matrix_enumeration(), 0) == []

@@ -1,9 +1,14 @@
+import random
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dsl_corpus import PRODUCTION_SAMPLES, corpus_asts
+from dsl_corpus import PRODUCTION_SAMPLES, corpus_asts, random_enum_ast, random_seq_ast
 from enumerlab.bitseq import nat_row, prefix
+from enumerlab.diagonal import antidiagonal
 from enumerlab.dsl import (
     ENUM_KINDS,
     SEQ_KINDS,
@@ -251,3 +256,52 @@ def test_arity_error_diagnostics(text, message, line, column, expected):
     assert (err.message, err.line, err.column) == (message, line, column)
     assert err.expected == frozenset(expected)
     assert str(err) == f"{line}:{column}: {message}"
+
+
+# ---------------------------------------------------------------- reference
+
+# perfbench/reference.py evaluates programs without enumerlab; it is put on
+# the path here only, and enumerlab never imports it
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import reference  # noqa: E402
+
+
+@st.composite
+def _programs(draw):
+    """A corpus program of nesting up to 5, as (ast, reference program)."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    depth = draw(st.integers(min_value=0, max_value=5))
+    ast = random_seq_ast(rng, depth) if draw(st.booleans()) else random_enum_ast(rng, depth)
+    return ast, reference.parse(unparse(ast))
+
+
+_positions = st.integers(min_value=1, max_value=300)
+_lengths = st.integers(min_value=0, max_value=40)
+_rows = st.integers(min_value=0, max_value=40)
+
+
+def _reference_block(bit, start, n):
+    return sum(bit(start + k) << k for k in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_programs(), _positions, _lengths, _rows)
+def test_reads_agree_with_reference_evaluator(program, start, n, r):
+    """bit_at and block of a sequence program; of an enumeration program,
+    one bit of each of rows 0-40, a block of row r, and a block of the
+    diagonal complement over rows r..r+n-1."""
+    ast, ref = program
+    if ast.is_seq:
+        s = eval_seq(ast)
+        assert s.bit_at(start) == reference.bit(ref, start)
+        assert s.block(start, n) == _reference_block(lambda i: reference.bit(ref, i), start, n)
+        return
+    E = eval_enum(ast)
+    for q in range(41):
+        assert E.row(q).bit_at(start) == reference.bit(ref, start, row=q), q
+    assert E.row(r).block(start, n) == _reference_block(
+        lambda i: reference.bit(ref, i, row=r), start, n
+    )
+    assert antidiagonal(E).block(r + 1, n) == _reference_block(
+        lambda i: reference.complement_bit(ref, i), r + 1, n
+    )
