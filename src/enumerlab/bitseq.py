@@ -27,8 +27,10 @@ sequence space {0,1}^N, where every sequence is a distinct object.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "BitSeq",
@@ -97,7 +99,7 @@ class BitSeq(_Node):
     beyond the bound is 0 (finite support).
     """
 
-    __slots__ = ("eventually_zero_bound",)
+    __slots__ = ("eventually_zero_bound", "_period")
 
     def __init__(
         self,
@@ -161,6 +163,8 @@ def _node(op: str, lit=None, kids: tuple = ()) -> _Node:
             0 if op == "zeros" else lit.bit_length() if op == "natrow"
             else None if below is None else below + len(lit)
         )
+        if op == "periodic":  # the pattern packed once, for every read
+            node._period = _bits_to_int(lit)
     return node
 
 
@@ -202,9 +206,15 @@ def _read(node: BitSeq, start: int, n: int) -> int:
             if op == "natrow":
                 bits = (node._lit >> (start - 1)) & ((1 << n) - 1)
             elif op == "periodic":
-                pattern = node._lit
-                o = (start - 1) % len(pattern)
-                bits = _bits_to_int((pattern[o:] + pattern * (n // len(pattern) + 1))[:n])
+                # the period rotated to begin at bit `start`, doubled until
+                # it covers the block
+                size, period = len(node._lit), node._period
+                o = (start - 1) % size
+                bits = period >> o | (period & ((1 << o) - 1)) << (size - o)
+                while size < n:
+                    bits |= bits << size
+                    size *= 2
+                bits &= (1 << n) - 1
             elif op == "ones":
                 bits = (1 << n) - 1
             elif op == "zeros":
@@ -327,6 +337,8 @@ def dyadic_bounds(s: BitSeq, n: int) -> tuple[Fraction, Fraction]:
     """Exact rational interval [L, L + 2^-n] bracketing the value
     sum_i b_i * 2^-i after reading n bits.
     """
+    from fractions import Fraction
+
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {n}")
     numerator = int(prefix(s, n), 2) if n else 0

@@ -9,18 +9,18 @@ included), 3 on depth/budget errors, 4 on an internal fault (one
 "internal error:" line on stderr, never a verdict).  Output is
 byte-deterministic for fixed inputs; audit JSON includes an elapsed_ms
 field that golden comparisons must exclude.
+
+A process imports only what its command runs: each action of the table
+names its module, which dispatch imports once the action is chosen, and
+the parser is built in full only for the chosen command.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
+import importlib
 import os
 import sys
-
-from . import audit, bitseq, diagonal, dsl, figures, listmatrix, pairing, tree
-from .budget import BudgetError
 
 __all__ = ["build_parser", "dispatch", "main"]
 
@@ -31,13 +31,23 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 # exception class -> exit status and the one line printed to stderr; the
-# first matching row wins
+# first matching row wins.  An enumerlab class is named "module.Class" and
+# looked up only if its module is loaded: no instance exists before that.
 _ERRORS = (
-    (BudgetError, EXIT_BUDGET, "budget error: {}"),
-    (dsl.ParseError, EXIT_USAGE, "error: program error at {}"),
+    ("budget.BudgetError", EXIT_BUDGET, "budget error: {}"),
+    ("dsl.ParseError", EXIT_USAGE, "error: program error at {}"),
     ((ValueError, OSError), EXIT_USAGE, "error: {}"),
     (Exception, EXIT_INTERNAL, "internal error: {0.__class__.__name__}: {0}"),
 )
+
+
+def _error_class(cls):
+    """The class of an _ERRORS row; one named "module.Class" is () while its
+    module is not loaded."""
+    if not isinstance(cls, str):
+        return cls
+    module, name = cls.split(".")
+    return getattr(sys.modules.get(f"{__package__}.{module}"), name, ())
 
 
 def _arg(*flags, **kwargs):
@@ -60,12 +70,14 @@ def _emit(text: str, out_path: str | None) -> None:
             fh.write(text)
 
 
-def _grid_pair(p: pairing.GridPair) -> str:
+def _grid_pair(p) -> str:
     return f"{p.m} {p.n}"
 
 
-def _enumeration(args) -> diagonal.Enumeration:
+def _enumeration(args):
     """The enumeration denoted by the program given inline or in a file."""
+    from . import dsl
+
     _count("--rows", args.rows)
     if args.program is not None and args.program_file is not None:
         raise ValueError("give a program either inline or via --program-file, not both")
@@ -81,14 +93,16 @@ def _enumeration(args) -> diagonal.Enumeration:
     return dsl.eval_enum(ast)
 
 
-def _diag_apply(args):
+def _diag_apply(diagonal, args):
+    from .bitseq import prefix
+
     E = _enumeration(args)
     for r in range(args.rows):
-        yield f"row {r}: {bitseq.prefix(E.row(r), args.prefix)}"
-    yield f"diagonal complement: {bitseq.prefix(diagonal.antidiagonal(E), args.prefix)}"
+        yield f"row {r}: {prefix(E.row(r), args.prefix)}"
+    yield f"diagonal complement: {prefix(diagonal.antidiagonal(E), args.prefix)}"
 
 
-def _diag_cert(args) -> list[str]:
+def _diag_cert(diagonal, args) -> list[str]:
     E = _enumeration(args)
     certs = diagonal.certificates(E, args.rows)
     x = diagonal.antidiagonal(E)
@@ -96,6 +110,9 @@ def _diag_cert(args) -> list[str]:
         if not diagonal.check_certificate(E, x, cert):
             raise RuntimeError(f"certificate failed revalidation: {cert}")
     if args.format == "json":
+        import dataclasses
+        import json
+
         return [json.dumps([dataclasses.asdict(c) for c in certs], indent=2)]
     return [
         f"row {c.row}: position {c.position}, "
@@ -104,7 +121,7 @@ def _diag_cert(args) -> list[str]:
     ]
 
 
-def _audit(args) -> int:
+def _audit(audit, args) -> int:
     if args.claim is None:
         reports = audit.run_all(args.depth)
     else:
@@ -120,7 +137,7 @@ def _audit(args) -> int:
 _FIG_SIZES = ("depth", "rows", "cols", "diagonals", "size")
 
 
-def _fig(args) -> int:
+def _fig(figures, args) -> int:
     _emit(figures.render_figure(args.n, **{k: getattr(args, k) for k in _FIG_SIZES}), args.out)
     return EXIT_OK
 
@@ -128,51 +145,59 @@ def _fig(args) -> int:
 _FORMAT = _arg("--format", choices=["json", "markdown"], default="json")
 _PROGRAM = [_arg("program", nargs="?"), _arg("--program-file"), _arg("--rows", type=int, default=8)]
 
-# command -> (help, action -> (help, arguments, run)).  A command without
-# actions has the single action None and takes its arguments itself.  `run`
-# gets the parsed arguments and returns the lines to print, or, for audit
-# and fig, which write through _emit, the exit status.
+# audit.CLAIM_IDS, spelled out so that building the parser does not import
+# audit; a test keeps the two equal
+_CLAIM_IDS = tuple(f"C{i}" for i in range(1, 11))
+
+# command -> (help, action -> (help, module, arguments, run)).  A command
+# without actions has the single action None and takes its arguments
+# itself.  `module` names the enumerlab module the action runs; `run` gets
+# that module and the parsed arguments and returns the lines to print, or,
+# for audit and fig, which write through _emit, the exit status.
 _COMMANDS = {
     "pair": ("grid pairs and the boustrophedon walk", {
-        "encode": ("walk position of a grid pair", [_arg("m", type=int), _arg("n", type=int)],
-                   lambda a: [pairing.zigzag_encode(pairing.GridPair(a.m, a.n))]),
-        "decode": ("grid pair at a walk position", [_arg("index", type=int)],
-                   lambda a: [_grid_pair(pairing.zigzag_decode(a.index))]),
-        "level": ("grid pairs of one tree level", [_arg("k", type=int)],
-                  lambda a: map(_grid_pair, pairing.level_pairs(a.k))),
-        "rowlabel": ("walk position of the first element of a row", [_arg("i", type=int)],
-                     lambda a: [pairing.row_label(a.i)]),
+        "encode": ("walk position of a grid pair", "pairing",
+                   [_arg("m", type=int), _arg("n", type=int)],
+                   lambda pairing, a: [pairing.zigzag_encode(pairing.GridPair(a.m, a.n))]),
+        "decode": ("grid pair at a walk position", "pairing", [_arg("index", type=int)],
+                   lambda pairing, a: [_grid_pair(pairing.zigzag_decode(a.index))]),
+        "level": ("grid pairs of one tree level", "pairing", [_arg("k", type=int)],
+                  lambda pairing, a: map(_grid_pair, pairing.level_pairs(a.k))),
+        "rowlabel": ("walk position of the first element of a row", "pairing",
+                     [_arg("i", type=int)], lambda pairing, a: [pairing.row_label(a.i)]),
     }),
     "tree": ("finite truncations of the binary tree", {
-        "paths": ("all root paths of one length", [_arg("i", type=int)],
-                  lambda a: tree.paths_at_depth(a.i)),
-        "count": ("non-root node count to a depth", [_arg("i", type=int)],
-                  lambda a: [tree.node_count(a.i)]),
+        "paths": ("all root paths of one length", "tree", [_arg("i", type=int)],
+                  lambda tree, a: tree.paths_at_depth(a.i)),
+        "count": ("non-root node count to a depth", "tree", [_arg("i", type=int)],
+                  lambda tree, a: [tree.node_count(a.i)]),
     }),
     "matrix": ("the truth-table matrix", {
-        "entry": ("one matrix bit", [_arg("r", type=int), _arg("c", type=int)],
-                  lambda a: [listmatrix.entry(a.r, a.c)]),
-        "row": ("prefix of one matrix row",
+        "entry": ("one matrix bit", "listmatrix", [_arg("r", type=int), _arg("c", type=int)],
+                  lambda listmatrix, a: [listmatrix.entry(a.r, a.c)]),
+        "row": ("prefix of one matrix row", "bitseq",
                 [_arg("r", type=int), _arg("--prefix", type=int, default=32)],
-                lambda a: [bitseq.prefix(bitseq.nat_row(a.r), a.prefix)]),
-        "submatrix": ("row prefixes of the 2^i by i submatrix", [_arg("i", type=int)],
-                      lambda a: sorted(listmatrix.submatrix_rows(a.i))),
-        "labels": ("walk labels of the first N rows", [_arg("n", type=int)],
-                   lambda a: map(pairing.row_label, range(_count("n", a.n)))),
+                lambda bitseq, a: [bitseq.prefix(bitseq.nat_row(a.r), a.prefix)]),
+        "submatrix": ("row prefixes of the 2^i by i submatrix", "listmatrix",
+                      [_arg("i", type=int)],
+                      lambda listmatrix, a: sorted(listmatrix.submatrix_rows(a.i))),
+        "labels": ("walk labels of the first N rows", "pairing", [_arg("n", type=int)],
+                   lambda pairing, a: map(pairing.row_label, range(_count("n", a.n)))),
     }),
     "diag": ("diagonal complement over a program enumeration", {
-        "apply": ("print listed rows and the diagonal complement",
+        "apply": ("print listed rows and the diagonal complement", "diagonal",
                   _PROGRAM + [_arg("--prefix", type=int, default=32)], _diag_apply),
-        "cert": ("emit disagreement certificates", _PROGRAM + [_FORMAT], _diag_cert),
+        "cert": ("emit disagreement certificates", "diagonal", _PROGRAM + [_FORMAT],
+                 _diag_cert),
     }),
-    "audit": ("run the claim catalog", {None: (None, [
+    "audit": ("run the claim catalog", {None: (None, "audit", [
         _arg("--depth", type=int, default=10),
-        _arg("--claim", choices=audit.CLAIM_IDS, metavar="CLAIM",
+        _arg("--claim", choices=_CLAIM_IDS, metavar="CLAIM",
              help="run a single claim (C1..C10)"),
         _FORMAT,
         _arg("--out"),
     ], _audit)}),
-    "fig": ("render one of the six constructions as SVG", {None: (None, [
+    "fig": ("render one of the six constructions as SVG", {None: (None, "figures", [
         _arg("n", type=int, help="figure number, 1..6"),
         *(_arg(f"--{name}", type=int) for name in _FIG_SIZES),
         _arg("--out"),
@@ -180,7 +205,10 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command; given a command `only`, the other
+    commands get no actions or arguments, which leaves the help and usage
+    of the chosen command and of the parser itself as they are."""
     parser = argparse.ArgumentParser(
         prog="enumerlab",
         description="Exact enumeration laboratory: grid bijections, tree "
@@ -190,9 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, actions) in _COMMANDS.items():
         p = commands.add_parser(command, help=help_text)
+        if only not in (None, command):
+            continue
         if None not in actions:
             sub = p.add_subparsers(dest="action", required=True)
-        for action, (action_help, arguments, _) in actions.items():
+        for action, (action_help, _, arguments, _) in actions.items():
             target = p if action is None else sub.add_parser(action, help=action_help)
             for flags, kwargs in arguments:
                 target.add_argument(*flags, **kwargs)
@@ -202,13 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: list[str]) -> int:
     """Parse argv and run the selected subcommand, mapping errors to the
     documented exit codes."""
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    run = _COMMANDS[args.command][1][getattr(args, "action", None)][2]
+    _, module, _, run = _COMMANDS[args.command][1][getattr(args, "action", None)]
     try:
-        status = run(args)
+        status = run(importlib.import_module(f"{__package__}.{module}"), args)
         if not isinstance(status, int):
             for line in status:
                 print(line)
@@ -217,7 +248,9 @@ def dispatch(argv: list[str]) -> int:
         sys.stdout.flush()
         return status
     except Exception as exc:
-        status, message = next((s, m) for cls, s, m in _ERRORS if isinstance(exc, cls))
+        status, message = next(
+            (s, m) for cls, s, m in _ERRORS if isinstance(exc, _error_class(cls))
+        )
         if isinstance(exc, BrokenPipeError):
             # the reader closed stdout: send what is still buffered to
             # devnull, so the flush at exit prints no second message

@@ -13,7 +13,6 @@ lands on the grid pair (j, 2^k - 1 - j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 from .budget import check_budget
@@ -39,20 +38,46 @@ class GridPair(NamedTuple):
     n: int
 
 
-@dataclass(frozen=True, slots=True)
 class NodeAddr:
-    """A node of the infinite binary tree: (level, offset), root = (0, 0)."""
+    """A node of the infinite binary tree: (level, offset), root = (0, 0).
 
-    level: int
-    offset: int
+    Immutable, and equal only to a NodeAddr with the same fields.  The
+    fields are slots written once, through their descriptors, in __init__.
+    """
 
-    def __post_init__(self) -> None:
-        if self.level < 0:
-            raise ValueError(f"level must be >= 0, got {self.level}")
-        if not 0 <= self.offset < (1 << self.level):
-            raise ValueError(
-                f"offset {self.offset} out of range for level {self.level}"
-            )
+    __slots__ = ("level", "offset")
+
+    def __init__(self, level: int, offset: int) -> None:
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        if not 0 <= offset < (1 << level):
+            raise ValueError(f"offset {offset} out of range for level {level}")
+        _set_level(self, level)
+        _set_offset(self, offset)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.level == other.level and self.offset == other.offset
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.offset))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(level={self.level!r}, offset={self.offset!r})"
+
+    def __reduce__(self):
+        return type(self), (self.level, self.offset)
+
+
+_set_level = NodeAddr.level.__set__
+_set_offset = NodeAddr.offset.__set__
 
 
 def _triangular(d: int) -> int:

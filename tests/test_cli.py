@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dsl_corpus import corpus_asts
-from enumerlab import cli, diagonal, dsl
+from enumerlab import audit, cli, diagonal, dsl
 from enumerlab.cli import dispatch
 
 
@@ -222,6 +222,21 @@ def test_readme_covers_command_table():
     assert table == documented
 
 
+def test_help_and_usage_text_match_golden(capsys, monkeypatch):
+    # the top-level help, every command's and action's help, and a few
+    # usage errors; argparse wraps to the width it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    golden = json.loads((GOLDEN / "help_text.json").read_text(encoding="utf-8"))
+    helps = [["--help"]]
+    for command, (_, actions) in cli._COMMANDS.items():
+        helps.append([command, "--help"])
+        helps += [[command, action, "--help"] for action in actions if action is not None]
+    assert [shlex.join(argv) for argv in helps] == list(golden)[: len(helps)]
+    for key, want in golden.items():
+        code, out, err = run(capsys, *shlex.split(key))
+        assert {"exit": code, "stdout": out, "stderr": err} == want, key
+
+
 def test_every_module_reachable(capsys, tmp_path):
     # the README says the entry point exposes every module: run its
     # commands and record which enumerlab modules execute code
@@ -303,7 +318,7 @@ def test_internal_fault_exit_code(capsys, monkeypatch):
     def fault(depth):
         raise AssertionError("witness failed revalidation")
 
-    monkeypatch.setattr(cli.audit, "run_all", fault)
+    monkeypatch.setattr(audit, "run_all", fault)
     code, out, err = run(capsys, "audit", "--depth", "3")
     assert (code, out) == (4, "")
     assert err == "internal error: AssertionError: witness failed revalidation\n"
@@ -394,7 +409,7 @@ def test_unknown_claim_rejected_by_parser(capsys):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == (
         "enumerlab audit: error: argument --claim: invalid choice: 'C11' (choose from "
-        + ", ".join(repr(c) for c in cli.audit.CLAIM_IDS) + ")"
+        + ", ".join(repr(c) for c in audit.CLAIM_IDS) + ")"
     )
 
 
@@ -402,7 +417,7 @@ def test_internal_key_error_exit_code(capsys, monkeypatch):
     def fault(claim_id, depth):
         raise KeyError("lookup inside a claim")
 
-    monkeypatch.setattr(cli.audit, "run_claim", fault)
+    monkeypatch.setattr(audit, "run_claim", fault)
     code, out, err = run(capsys, "audit", "--claim", "C2")
     assert (code, out) == (4, "")
     assert err == "internal error: KeyError: 'lookup inside a claim'\n"
@@ -420,7 +435,7 @@ def test_non_ascii_program_rejected(capsys, program, column):
 _ROWS = [
     (command, action, [a for a in arguments if a[0][0] not in ("--out", "--program-file")])
     for command, (_, actions) in cli._COMMANDS.items()
-    for action, (_, arguments, _) in actions.items()
+    for action, (_, _, arguments, _) in actions.items()
 ]
 _PROGRAM_TEXTS = sorted({dsl.unparse(ast) for ast in corpus_asts(size=60)})
 

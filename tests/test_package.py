@@ -1,0 +1,103 @@
+"""The package surface and what a process imports: `import enumerlab`
+loads none of its modules, each public name comes from its module on first
+use, and a command loads only the modules it runs."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import enumerlab
+
+SRC = str(Path(enumerlab.__file__).resolve().parents[1])
+
+# module -> the public names the package re-exports from it
+SURFACE = {
+    "bitseq": "BitSeq PositionError complement dyadic_bounds eq_prefix nat_row ones "
+    "periodic prefix prepend zeros",
+    "budget": "DEFAULT_BUDGET BudgetError enumeration_budget",
+    "diagonal": "Certificate Enumeration antidiagonal certificates check_certificate "
+    "constant insert interleave split",
+    "pairing": "GridPair NodeAddr level_pairs node_to_pair pair_to_node row_label "
+    "zigzag_decode zigzag_encode",
+    "tree": "children node_count path_to_addr paths_at_depth prefix_chain",
+}
+NAMES = {name: module for module, names in SURFACE.items() for name in names.split()}
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter holds after running `code`.  Without
+    site (-S), nothing but the interpreter's own start-up is loaded first."""
+    program = f"import sys\n{code}\nsys.stderr.write('\\n' + ' '.join(sys.modules))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", program], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.rsplit("\n", 1)[-1].split())
+
+
+def test_import_loads_no_module():
+    loaded = modules_after("import enumerlab")
+    assert "enumerlab" in loaded
+    assert not {m for m in loaded if m.startswith("enumerlab.")}
+
+
+@pytest.mark.parametrize(
+    "argv", ["pair encode 3 0", "tree paths 4", "matrix row 5", "fig 1"]
+)
+def test_command_loads_only_what_it_runs(argv):
+    loaded = modules_after(
+        "from enumerlab import cli\n"
+        f"status = cli.dispatch({argv.split()!r})\n"
+        "sys.stdout.flush()\n"
+        "assert status == 0, status\n"
+    )
+    assert "enumerlab.cli" in loaded
+    assert not {"enumerlab.audit", "enumerlab.dsl", "dataclasses", "fractions"} & loaded
+
+
+def test_names_come_from_their_modules():
+    assert sorted(enumerlab.__all__) == sorted(NAMES)
+    for name, module in NAMES.items():
+        home = importlib.import_module(f"enumerlab.{module}")
+        assert getattr(enumerlab, name) is getattr(home, name), name
+        # cached in the package after the first use
+        assert vars(enumerlab)[name] is getattr(home, name)
+
+
+def test_dir_lists_every_name():
+    assert set(enumerlab.__all__) <= set(dir(enumerlab))
+    assert "__version__" in dir(enumerlab)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from enumerlab import *", namespace)
+    assert set(enumerlab.__all__) <= set(namespace)
+    assert namespace["NodeAddr"] is enumerlab.NodeAddr
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        enumerlab.no_such_name
+    assert not hasattr(enumerlab, "no_such_name")
+
+
+def test_modules_import_from_the_package():
+    from enumerlab import audit, cli, dsl
+
+    assert (audit.__name__, cli.__name__, dsl.__name__) == (
+        "enumerlab.audit", "enumerlab.cli", "enumerlab.dsl"
+    )
+
+
+def test_claim_choices_are_the_catalog():
+    from enumerlab import audit, cli
+
+    arguments = cli._COMMANDS["audit"][1][None][2]
+    claim = next(kwargs for flags, kwargs in arguments if flags == ("--claim",))
+    assert tuple(claim["choices"]) == audit.CLAIM_IDS

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given
@@ -107,6 +109,40 @@ def test_node_addr_invariant():
         NodeAddr(2, 4)
     with pytest.raises(ValueError):
         NodeAddr(-1, 0)
+
+
+def test_node_addr_error_messages():
+    with pytest.raises(ValueError, match=r"^level must be >= 0, got -1$"):
+        NodeAddr(-1, 0)
+    with pytest.raises(ValueError, match=r"^offset 4 out of range for level 2$"):
+        NodeAddr(2, 4)
+    with pytest.raises(ValueError, match=r"^offset -1 out of range for level 3$"):
+        NodeAddr(3, -1)
+
+
+def test_node_addr_value_semantics():
+    a = NodeAddr(1, 0)
+    assert a == NodeAddr(1, 0) and not a != NodeAddr(1, 0)
+    assert a != NodeAddr(1, 1) and a != NodeAddr(2, 0)
+    # equal only to node addresses: not to a tuple or a grid pair with the
+    # same fields
+    assert a != (1, 0) and (1, 0) != a
+    assert a != GridPair(1, 0)
+    assert hash(a) == hash(NodeAddr(1, 0))
+    assert len({a, NodeAddr(1, 0), NodeAddr(1, 1)}) == 2
+    assert repr(NodeAddr(3, 5)) == "NodeAddr(level=3, offset=5)"
+    assert (a.level, a.offset) == (1, 0)
+    assert copy.copy(a) == a and pickle.loads(pickle.dumps(a)) == a
+
+
+@pytest.mark.parametrize("field", ["level", "offset"])
+def test_node_addr_is_immutable(field):
+    a = NodeAddr(2, 3)
+    with pytest.raises(AttributeError):
+        setattr(a, field, 1)
+    with pytest.raises(AttributeError):
+        delattr(a, field)
+    assert (a.level, a.offset) == (2, 3)
 
 
 def test_pair_to_node():
