@@ -23,8 +23,10 @@ Claim ids:
 The exponential claims check one tree level at a time with set operations
 over plain keys, and pay for witnesses only on a refutation, when they scan
 again in (level, offset) order:
-  C1  reads each level's image from pairing.level_pairs, checks it has 2^k
-      distinct pairs and none seen on an earlier level
+  C1  reads each level's image from pairing.level_pairs, checks it lists
+      2^k pairs, and adds it to the pairs seen so far in one update; the
+      level holds 2^k distinct pairs, none seen on an earlier level, exactly
+      when the seen set grows by 2^k
   C3  keys the ending of every enumerated path (through tree.path_to_addr)
       by its heap index 2^k + j; level t must give exactly 2^t..2^(t+1)-1
   C8  reads each of the first 2^d rows once, as a d-bit nat_row block;
@@ -99,9 +101,12 @@ def _claim_c1(depth: int) -> tuple[str, list]:
     seen: set[pairing.GridPair] = set()
     for k in range(depth + 1):
         level = pairing.level_pairs(k)
-        if len(set(level)) != 1 << k or not seen.isdisjoint(level):
-            return REFUTED, [_c1_first_collision(k)]
+        if len(level) != 1 << k:
+            raise RuntimeError(f"level_pairs({k}) does not list {1 << k} pairs")
+        before = len(seen)
         seen.update(level)
+        if len(seen) != before + (1 << k):
+            return REFUTED, [_c1_first_collision(k)]
     return VERIFIED, []
 
 

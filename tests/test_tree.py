@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from enumerlab import tree
 from enumerlab.bitseq import nat_row, ones, zeros
 from enumerlab.budget import BudgetError
 from enumerlab.pairing import NodeAddr
@@ -45,6 +46,27 @@ def test_children_path_consistency(p):
 def test_paths_at_depth_small():
     assert list(paths_at_depth(1)) == ["0", "1"]
     assert list(paths_at_depth(2)) == ["00", "01", "10", "11"]
+
+
+def test_paths_at_depth_offset_order():
+    # odd and even lengths, and length 1 with its empty low half
+    for i in range(1, 15):
+        assert list(paths_at_depth(i)) == [format(o, f"0{i}b") for o in range(1 << i)]
+
+
+def test_paths_at_depth_is_lazy():
+    paths = paths_at_depth(20)
+    assert not isinstance(paths, list)
+    assert iter(paths) is paths
+    assert next(paths) == "0" * 20
+
+
+def test_paths_at_depth_budget_before_halves(monkeypatch):
+    built = []
+    monkeypatch.setattr(tree, "product", lambda *a, **kw: built.append(a))
+    with pytest.raises(BudgetError):
+        paths_at_depth(31)
+    assert built == []
 
 
 def test_paths_at_depth_counts():
