@@ -14,10 +14,14 @@ sequence bit start+k is int bit k, the bit order of the truth-table matrix.
 One loop answers it by walking a single root-to-leaf path, carrying the
 position and a flip: complement flips the block, prepend answers from its
 head and goes on into its tail only for the part past the head, and zeros,
-ones, periodic and nat_row answer the whole block at once.  An antidiagonal
-and a BitSeq(rule) are read bit by bit.  Enumeration.row walks the
-enumeration operators the same way, down to a sequence.  Nothing recurses,
-so there is no nesting limit; descriptions are built by walks too.
+ones, periodic and nat_row answer the whole block at once.  A diagonal
+block is one batched walk over row ranges: each enumeration operator maps
+the range of rows the block needs, or splits it, instead of walking once
+per bit.  A BitSeq(rule) is called at exactly the positions asked for, and
+each value must be 0 or 1.  Enumeration.row walks the enumeration
+operators the same way as a single read, down to a sequence.  Nothing
+recurses, so there is no nesting limit; descriptions are built by walks
+too.
 
 Sequence equality is undecidable in general, so no equality operation is
 offered; only prefix comparison (eq_prefix).  The double representation of
@@ -65,6 +69,8 @@ _OPERATORS = {
     "insert": ("enum", ("enum", "nat", "seq"), "insert"),
 }
 _BITS = frozenset("01")
+_DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit values to ASCII digits
+_FLIP = bytes.maketrans(b"01", b"10")
 
 
 class PositionError(ValueError):
@@ -173,7 +179,7 @@ def _read(node: BitSeq, start: int, n: int) -> int:
     from one walk down one path.  `out` holds the `shift` bits already
     answered by prepend heads; `flip` is 1 below an odd number of
     complements.  An antidiagonal read of one bit goes on into the listed
-    row; a longer one walks once per bit."""
+    row; a longer one is handed to the batched walk, _diagonal_block."""
     out = shift = flip = 0
     while n:
         op = node._op
@@ -195,9 +201,7 @@ def _read(node: BitSeq, start: int, n: int) -> int:
             node = node._kids[0]
         elif op == "diagc":
             if n > 1:
-                bits = 0
-                for k in range(n):
-                    bits |= _read(node, start + k, 1) << k
+                bits = _diagonal_block(node, start, n)
                 break
             # bit i is the complement of bit i of row i-1
             flip ^= 1
@@ -219,9 +223,8 @@ def _read(node: BitSeq, start: int, n: int) -> int:
                 bits = (1 << n) - 1
             elif op == "zeros":
                 bits = 0
-            else:  # a user rule, read per bit
-                rule_bits = map(node._lit[0], range(start, start + n))
-                bits = _bits_to_int("".join(map("01".__getitem__, rule_bits)))
+            else:  # a user rule
+                bits = int(_rule_bits(node._lit[0], range(start, start + n))[::-1], 2)
             break
     else:
         return out
@@ -253,7 +256,90 @@ def _row(node: Enumeration, r: int) -> BitSeq:
         elif op == "figure5":
             return _node("natrow", r)
         else:  # a user rule
-            return node._lit[0](r)
+            row = node._lit[0](r)
+            if not isinstance(row, _CLASSES["seq"]):
+                raise TypeError(f"row {r} is {type(row).__name__}, not BitSeq")
+            return row
+
+
+def _rule_bits(rule: Callable[[int], int], positions: range) -> bytes:
+    """ASCII digits of the bits `rule` gives at `positions`, calling it
+    once at each; a value other than 0 or 1 raises ValueError."""
+    values = list(map(rule, positions))
+    for p, v in zip(positions, values):
+        if not isinstance(v, int) or v not in (0, 1):
+            raise ValueError(f"bit at position {p} must be 0 or 1, got {v!r}")
+    return bytes(values).translate(_DIGITS)
+
+
+def _shift(r: range, d: int) -> range:
+    return range(r.start + d, r.stop + d, r.step)
+
+
+def _diagonal_block(node: BitSeq, start: int, n: int) -> int:
+    """Bits start..start+n-1 of `node`, packed as _read packs them, from
+    one walk over tasks (node, rows, positions, slots, flip): row rows[k] of
+    an enumeration, or the sequence itself when rows is None, at
+    positions[k] is output bit slots[k], complemented when flip is 1.  Each
+    operator maps these aligned ranges in O(1) or splits them in a few."""
+    out = bytearray(n)
+    todo = [(node, None, range(start, start + n), range(n), 0)]
+    while todo:
+        node, rows, pos, slots, flip = todo.pop()
+        while pos:
+            op, kids = node._op, node._kids
+            if op == "compl":
+                flip ^= 1
+            elif op == "diagc":
+                # bit i is the complement of bit i of row i-1
+                rows, flip = _shift(pos, -1), flip ^ 1
+            elif op == "prepend":
+                head = node._lit
+                part = head[pos.start - 1 : pos.stop - 1 : pos.step].encode()
+                done, slots = slots[: len(part)], slots[len(part) :]
+                out[done.start : done.stop : done.step] = part.translate(_FLIP) if flip else part
+                pos = _shift(pos[len(part) :], -len(head))
+            elif op == "const":
+                rows = None
+            elif op == "spliteven" or op == "splitodd":
+                odd = op == "splitodd"
+                rows = range(2 * rows.start + odd, 2 * rows.stop + odd, 2 * rows.step)
+            elif op == "interleave":
+                if rows.step & 1 and len(rows) > 1:  # parities alternate: split
+                    todo.append((node, rows[1::2], pos[1::2], slots[1::2], flip))
+                    rows, pos, slots = rows[::2], pos[::2], slots[::2]
+                kids = kids[rows.start & 1 :]  # the child of the rows' parity first
+                rows = range(rows.start >> 1, (rows[-1] >> 1) + 1, rows.step >> 1 or 1)
+            elif op == "insert":
+                # rows below k go on, row k is the inserted one, rows above go one lower
+                k = node._lit
+                if rows[-1] >= k:
+                    i = len(range(rows.start, k, rows.step))
+                    j = i + (rows[i] == k)
+                    todo.append((kids[0], _shift(rows[j:], -1), pos[j:], slots[j:], flip))
+                    todo.append((kids[1], None, pos[i:j], slots[i:j], flip))
+                    rows, pos, slots = rows[:i], pos[:i], slots[:i]
+            elif op == "rule" and rows is not None:
+                for r, p, s in zip(rows, pos, slots):
+                    todo.append((_row(node, r), None, range(p, p + 1), range(s, s + 1), flip))
+                break
+            else:
+                if op == "figure5":
+                    # row r is 0 past bit r.bit_length(): compute bits only
+                    # up to the bit length of the last, largest row
+                    m = len(range(pos.start, min(pos.stop, rows[-1].bit_length() + 1), pos.step))
+                    bits = bytes(48 + (r >> (p - 1) & 1) for r, p in zip(rows, pos[:m]))
+                    bits += b"0" * (len(pos) - m)
+                elif op == "rule":
+                    bits = _rule_bits(node._lit[0], pos)
+                else:  # one block over the span of the positions
+                    span = pos[-1] - pos.start + 1
+                    text = format(_read(node, pos.start, span), f"0{span}b")
+                    bits = text[::-1][:: pos.step].encode()
+                out[slots.start : slots.stop : slots.step] = bits.translate(_FLIP) if flip else bits
+                break
+            node = kids[0]
+    return int(out[::-1], 2)
 
 
 def _render(root, spell: Callable, sep: str) -> str:

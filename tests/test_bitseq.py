@@ -1,14 +1,16 @@
 import random
+import re
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from enumerlab import diagonal, listmatrix
 from enumerlab.bitseq import (
     BitSeq,
+    Enumeration,
     PositionError,
     complement,
     dyadic_bounds,
@@ -209,6 +211,93 @@ def test_antidiagonal_fallback_block(s, start, n):
     ):
         x = diagonal.antidiagonal(E)
         assert x.block(start, n) == per_bit_block(x, start, n)
+
+
+# enumerations over every enumeration operator, whose sequences may hold
+# antidiagonals of their own; a row of the user rule varies at every position
+matrix = listmatrix.matrix_enumeration()
+rule_enumeration = Enumeration(lambda r: periodic(format(r % 29 + 1, "b")), "mod29")
+nested_sequences = st.deferred(
+    lambda: st.one_of(
+        leaves,
+        st.builds(prepend, bit_strings, nested_sequences),
+        nested_sequences.map(complement),
+        enumerations.map(diagonal.antidiagonal),
+    )
+)
+enumerations = st.deferred(
+    lambda: st.one_of(
+        st.just(matrix),
+        st.just(rule_enumeration),
+        nested_sequences.map(diagonal.constant),
+        st.builds(diagonal.interleave, enumerations, enumerations),
+        enumerations.map(lambda E: diagonal.split(E)[0]),
+        enumerations.map(lambda E: diagonal.split(E)[1]),
+        st.builds(diagonal.insert, enumerations, st.integers(0, 400), nested_sequences),
+    )
+)
+far_starts = st.one_of(starts, st.integers(min_value=1, max_value=2**70))
+
+
+@settings(max_examples=300, deadline=None)
+@given(enumerations, bit_strings, far_starts, lengths)
+# rows whose top bit is the position read; odd positions of a periodic
+# row; an inserted row read at its own position, as the last row
+@example(diagonal.split(diagonal.split(matrix)[0])[0], "", 1, 4)
+@example(diagonal.interleave(diagonal.constant(periodic("0010")), matrix), "", 1, 64)
+@example(diagonal.insert(matrix, 5, ones()), "", 1, 6)
+def test_antidiagonal_block_matches_per_bit_reads(E, head, start, n):
+    x = diagonal.antidiagonal(E)
+    for s in (x, complement(prepend(head, x))):
+        assert s.block(start, n) == per_bit_block(s, start, n)
+
+
+@given(far_starts, lengths)
+def test_antidiagonal_block_calls_user_rules_once_per_bit(start, n):
+    rows, positions = [], []
+    E = Enumeration(lambda r: rows.append(r) or nat_row(r))
+    diagonal.antidiagonal(E).block(start, n)
+    assert sorted(rows) == list(range(start - 1, start + n - 1))
+    s = BitSeq(lambda i: positions.append(i) or i & 1)
+    diagonal.antidiagonal(diagonal.constant(s)).block(start, n)
+    assert sorted(positions) == list(range(start, start + n))
+
+
+@pytest.mark.parametrize("value", [-1, -2, 2, 255, 256, "1", 0.5, None])
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda s: s.bit_at(3),
+        lambda s: s.block(1, 5),
+        lambda s: diagonal.antidiagonal(diagonal.constant(s)).block(1, 5),
+    ],
+    ids=["bit_at", "block", "antidiagonal-block"],
+)
+def test_rule_value_other_than_a_bit_rejected(value, read):
+    s = BitSeq(lambda i: value if i == 3 else 1)
+    with pytest.raises(ValueError, match=rf"position 3 must be 0 or 1, got {re.escape(repr(value))}$"):
+        read(s)
+
+
+def test_rule_bools_are_bits():
+    s = BitSeq(lambda i: i % 3 == 0)
+    assert prefix(s, 6) == "001001"
+    assert diagonal.antidiagonal(diagonal.constant(s)).block(1, 6) == 0b011011
+
+
+@pytest.mark.parametrize(
+    "read",
+    [
+        lambda E: E.row(4),
+        lambda E: diagonal.antidiagonal(E).bit_at(5),
+        lambda E: diagonal.antidiagonal(E).block(1, 8),
+    ],
+    ids=["row", "antidiagonal-bit", "antidiagonal-block"],
+)
+def test_rule_row_other_than_a_bitseq_rejected(read):
+    E = Enumeration(lambda r: 5 if r == 4 else ones())
+    with pytest.raises(TypeError, match=r"^row 4 is int, not BitSeq$"):
+        read(E)
 
 
 @given(sequences, lengths)

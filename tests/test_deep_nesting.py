@@ -131,6 +131,28 @@ def test_program_nested_1e5_deep(name):
     read(value)
 
 
+# For each enumeration chain nested DIAGONAL_DEPTH deep: bits 1..64 and
+# DIAGONAL_DEPTH-20..DIAGONAL_DEPTH+19 of its antidiagonal (of the
+# diagc-const chain itself), pinned from reads of one bit_at per bit.
+DIAGONAL_DEPTH = 10**4
+DIAGONAL_BLOCKS = {
+    "spliteven": (0xFFFFFFFFFFFFFFFF, 0xFB1DFFFFFF),
+    "splitodd": (0, 0),
+    "interleave": (0xFFFFFFFFFFFFFFFF, 0xFFFFFFFFFF),
+    # rows 3..DIAGONAL_DEPTH+2 are the inserted ones()
+    "insert": (0x7, 0xFFFF000000),
+    "diagc-const": (0x6, 0),
+}
+
+
+@pytest.mark.parametrize("name", DIAGONAL_BLOCKS)
+def test_diagonal_blocks_of_1e4_deep_chains(name):
+    ast = parse(chain(*CHAINS[name][0], depth=DIAGONAL_DEPTH))
+    x = eval_seq(ast) if ast.is_seq else diagonal.antidiagonal(eval_enum(ast))
+    assert x.block(1, 64) == DIAGONAL_BLOCKS[name][0]
+    assert x.block(DIAGONAL_DEPTH - 20, 40) == DIAGONAL_BLOCKS[name][1]
+
+
 def test_library_complement_and_prepend_loops():
     s = bitseq.periodic("011")
     for _ in range(DEPTH):
