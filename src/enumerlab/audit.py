@@ -38,10 +38,10 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 
 from . import bitseq, diagonal, listmatrix, pairing, tree
 from .budget import BudgetError, check_budget
+from .record import Record
 
 __all__ = [
     "VERIFIED",
@@ -61,18 +61,18 @@ REFUTED = "refuted"
 NOT_FINITELY_CHECKABLE = "not_finitely_checkable"
 
 
-@dataclass(frozen=True)
-class ClaimReport:
-    claim_id: str
-    anchor: str
-    depth: int
-    status: str
-    witnesses: list = field(default_factory=list)
-    elapsed_ns: int = 0
+class ClaimReport(Record):
+    __slots__ = ("_claim_id", "_anchor", "_depth", "_status", "_witnesses", "_elapsed_ns")
 
-    def __post_init__(self) -> None:
-        if self.status == REFUTED and not self.witnesses:
+    def __init__(
+        self, claim_id: str, anchor: str, depth: int, status: str,
+        witnesses: list | None = None, elapsed_ns: int = 0,
+    ) -> None:
+        witnesses = [] if witnesses is None else witnesses
+        if status == REFUTED and not witnesses:
             raise ValueError("a refuted claim requires at least one witness")
+        self._claim_id, self._anchor, self._depth = claim_id, anchor, depth
+        self._status, self._witnesses, self._elapsed_ns = status, witnesses, elapsed_ns
 
     @property
     def elapsed_ms(self) -> int:

@@ -110,10 +110,10 @@ def _diag_cert(diagonal, args) -> list[str]:
         if not diagonal.check_certificate(E, x, cert):
             raise RuntimeError(f"certificate failed revalidation: {cert}")
     if args.format == "json":
-        import dataclasses
         import json
 
-        return [json.dumps([dataclasses.asdict(c) for c in certs], indent=2)]
+        fields = ("row", "position", "left_bit", "right_bit")
+        return [json.dumps([{f: getattr(c, f) for f in fields} for c in certs], indent=2)]
     return [
         f"row {c.row}: position {c.position}, "
         f"complement bit {c.left_bit}, row bit {c.right_bit}"

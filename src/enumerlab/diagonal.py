@@ -16,9 +16,8 @@ lookups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bitseq import BitSeq, Enumeration, _node
+from .record import Record
 
 __all__ = [
     "Enumeration",
@@ -33,22 +32,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Row r of an enumeration differs from a candidate sequence at
     `position`: the candidate holds left_bit there, the row holds right_bit.
     For antidiagonal certificates, position = row + 1."""
 
-    row: int
-    position: int
-    left_bit: int
-    right_bit: int
+    __slots__ = ("_row", "_position", "_left_bit", "_right_bit")
 
-    def __post_init__(self) -> None:
-        if self.left_bit == self.right_bit:
+    def __init__(self, row: int, position: int, left_bit: int, right_bit: int) -> None:
+        if left_bit == right_bit:
             raise ValueError("certificate bits must differ")
-        if self.position < 1:
-            raise ValueError(f"positions are 1-based, got {self.position}")
+        if position < 1:
+            raise ValueError(f"positions are 1-based, got {position}")
+        self._row, self._position = row, position
+        self._left_bit, self._right_bit = left_bit, right_bit
 
 
 def constant(s: BitSeq) -> Enumeration:

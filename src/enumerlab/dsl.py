@@ -1,6 +1,6 @@
 """A small closed expression language for building sequences and
-enumerations.  Parsing, evaluation and printing each work from an
-explicit stack, so programs of any nesting depth are accepted.
+enumerations.  Parsing, evaluation, printing, comparing and hashing each
+work from an explicit stack, so programs of any nesting depth are accepted.
 
 Grammar (whitespace insignificant, ASCII only):
 
@@ -22,6 +22,9 @@ Grammar (whitespace insignificant, ASCII only):
 There is no recursion or binding, so every program denotes a total value and
 the diagonal complement of any program enumeration is always well defined.
 
+The text is cut into tokens by one regular-expression pass, and one loop
+reads them; an Ast and a Span are immutable __slots__ records.
+
 Errors carry a source position and an expected-token set, and fall into
 three classes: syntax (unexpected token), arity (wrong argument count), and
 type (sequence expression where an enumeration is required, or vice versa).
@@ -32,10 +35,11 @@ from __future__ import annotations
 import bisect
 import re
 import sys
-from dataclasses import dataclass, field
+from itertools import accumulate, compress
 
 from . import bitseq
 from .bitseq import BitSeq, Enumeration
+from .record import Record
 
 __all__ = [
     "Ast",
@@ -60,29 +64,67 @@ _TYPENAME = {"seq": "sequence", "enum": "enumeration"}
 SEQ_KINDS = frozenset(k for k, op in bitseq._OPERATORS.items() if op[0] == "seq")
 ENUM_KINDS = frozenset(k for k, op in bitseq._OPERATORS.items() if op[0] == "enum")
 _KINDS = {"seq": SEQ_KINDS, "enum": ENUM_KINDS}
+# operator -> (the type it denotes, the types of its subexpressions, last first)
+_OPERANDS = {
+    k: (op[0], tuple(arg for arg in reversed(op[1]) if arg in _TYPENAME))
+    for k, op in bitseq._OPERATORS.items()
+}
 
 
-@dataclass(frozen=True)
-class Span:
-    line: int
-    column: int
-    length: int
+class Span(Record):
+    """Where a node's text starts, as a 1-based line and column, and how
+    many characters it covers."""
+
+    __slots__ = ("_line", "_column", "_length")
+
+    def __init__(self, line: int, column: int, length: int) -> None:
+        self._line, self._column, self._length = line, column, length
 
 
-@dataclass(frozen=True)
-class Ast:
+class Ast(Record):
     """One operator node.  `value` holds the literal payload for operators
-    taking a bits or nat argument; spans are excluded from equality so that
-    pretty-print/reparse roundtrips compare structurally."""
+    taking a bits or nat argument; spans are excluded from equality and
+    hashing so that pretty-print/reparse roundtrips compare structurally."""
 
-    kind: str
-    children: tuple["Ast", ...] = ()
-    value: int | str | None = None
-    span: Span = field(default=Span(1, 1, 0), compare=False)
+    __slots__ = ("_kind", "_children", "_value", "_span")
+
+    def __init__(self, kind: str, children: tuple = (), value=None, span=Span(1, 1, 0)):
+        self._kind, self._children, self._value, self._span = kind, children, value, span
 
     @property
     def is_seq(self) -> bool:
-        return self.kind in SEQ_KINDS
+        return self._kind in SEQ_KINDS
+
+    def _shape(self) -> list:
+        """(kind, value, number of children) of each node in preorder: the
+        tree without its spans."""
+        shape, todo = [], [self]
+        while todo:
+            a = todo.pop()
+            shape.append((a._kind, a._value, len(a._children)))
+            todo += reversed(a._children)
+        return shape
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._shape() == other._shape()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._shape()))
+
+    def __repr__(self) -> str:
+        out, todo = [], [self]
+        while todo:
+            a = todo.pop()
+            if isinstance(a, str):
+                out.append(a)
+                continue
+            out.append(f"{type(a).__qualname__}(kind={a._kind!r}, children=(")
+            kids = a._children
+            todo.append(f"{',' * (len(kids) == 1)}), value={a._value!r}, span={a._span!r})")
+            todo += [x for kid in reversed(kids) for x in (", ", kid)][1:]
+        return "".join(out)
 
 
 class ParseError(Exception):
@@ -108,35 +150,33 @@ class ParseError(Exception):
 # ASCII only, as the grammar says: str.isdigit also takes '²', which int()
 # rejects, and '١', which int() reads as 1.  Blank space separates tokens;
 # any other character is an error.
-_TOKEN = re.compile(
-    r"(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<digits>[0-9]+)"
-    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
-)
 _UNEXPECTED = re.compile(r"[^A-Za-z0-9(),\n\t\r ]")
+# Past that check, these pieces cover the text, so their lengths add up to
+# the offset of each: a name, digits, a mark, or a run of blanks.
+_PIECES = re.compile(r"[A-Za-z][A-Za-z0-9]*|[0-9]+|[(),]|[\n\t\r ]+")
 
 
 class _Parser:
-    """A token is a (kind, text, offset) triple, kind one of "name",
-    "digits", "lparen", "rparen", "comma" and "eof".  Lines and columns are
+    """A token is its text: a name, digits, "(", ")", "," or "" for the end
+    of input; `offsets` holds where each starts.  Lines and columns are
     worked out from offsets where a span or an error needs them."""
+
+    # the record classes, held here since the module names may be rebound
+    ast, span = Ast, Span
 
     def __init__(self, text: str):
         self.newlines = [m.start() for m in re.finditer("\n", text)]
         bad = _UNEXPECTED.search(text)
         if bad is not None:
-            self._fail(
-                bad.start(),
+            raise ParseError(
                 f"unexpected character {bad.group()!r}",
-                expected=frozenset({"name", "digits", "(", ")", ","}),
+                *self._position(bad.start()),
+                frozenset({"name", "digits", "(", ")", ","}),
             )
-        self.tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
-        self.tokens.append(("eof", "", len(text)))
-        self.pos = 0
-
-    def _next(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        pieces = _PIECES.findall(text)
+        kept = list(map(str.strip, pieces))  # a run of blanks strips to ""
+        self.tokens = [*filter(None, kept), ""]
+        self.offsets = [*compress(accumulate(map(len, pieces), initial=0), kept), len(text)]
 
     def _position(self, offset: int) -> tuple[int, int]:
         """1-based line and column of a text offset."""
@@ -144,123 +184,108 @@ class _Parser:
         line_start = self.newlines[line - 1] + 1 if line else 0
         return line + 1, offset - line_start + 1
 
-    def _fail(self, offset, message, expected=frozenset(), error_class="syntax"):
-        raise ParseError(message, *self._position(offset), expected, error_class)
+    def _fail(self, pos: int, message: str, expected, error_class: str = "syntax"):
+        """Raise a ParseError at token `pos`."""
+        position = self._position(self.offsets[pos])
+        raise ParseError(message, *position, frozenset(expected), error_class)
 
     def parse_all(self, want: str) -> Ast:
         """Parse the whole text as one expression of type `want` ("seq" or
-        "enum").  Each call of _expr waits on an explicit stack while its
-        subexpressions are parsed, so any nesting depth parses."""
-        stack = [self._expr(want)]
-        ast = None
-        while stack:
-            try:
-                want = stack[-1].send(ast)
-            except StopIteration as done:
-                stack.pop()
-                ast = done.value
+        "enum").  One loop reads the tokens: an operator whose arguments are
+        being read waits on an explicit stack as a [name, signature, index
+        of the next argument, children, literal, offset] frame, so any
+        nesting depth parses."""
+        tokens, offsets, newlines = self.tokens, self.offsets, self.newlines
+        operators, position, ast, span = bitseq._OPERATORS, self._position, self.ast, self.span
+        frames: list[list] = []
+        pos = 0
+        while True:
+            # the head of an expression of type `want`
+            name = tokens[pos]
+            op = operators.get(name)
+            if op is None or op[0] != want:
+                self._no_expression(pos, want)
+            offset = offsets[pos]
+            if op[1]:
+                if tokens[pos + 1] != "(":
+                    found = tokens[pos + 1] or "end of input"
+                    self._fail(pos + 1, f"expected (, found {found!r}", "(")
+                frames.append([name, op[1], 0, [], None, offset])
+                pos += 2
             else:
-                stack.append(self._expr(want))
-                ast = None
-        kind, text, offset = self.tokens[self.pos]
-        if kind != "eof":
-            self._fail(
-                offset,
-                f"trailing input after expression: {text!r}",
-                expected=frozenset({"end of input"}),
-            )
-        return ast
+                pos += 1
+                line, column = position(offset) if newlines else (1, offset + 1)
+                node = ast(name, (), None, span(line, column, len(name)))
+                if frames:
+                    frames[-1][3].append(node)
+            # the arguments of the innermost open operator up to its next
+            # subexpression, closing each operator whose arguments are read
+            while frames:
+                frame = frames[-1]
+                name, sig, i, kids, value, offset = frame
+                if i < len(sig):
+                    if i:
+                        if tokens[pos] == ")":
+                            self._too_few(pos, name, sig, i, ",")
+                        if tokens[pos] != ",":
+                            self._fail(pos, f"expected ',', found {tokens[pos]!r}", ",")
+                        pos += 1
+                    want = sig[i]
+                    if tokens[pos] == ")":
+                        self._too_few(pos, name, sig, i, want)
+                    frame[2] = i + 1
+                    if want in _TYPENAME:
+                        break
+                    frame[4] = self._literal(pos, want)
+                    pos += 1
+                    continue
+                if tokens[pos] == ",":
+                    message = f"too many arguments to {name!r}: expected {len(sig)}"
+                    self._fail(pos, message, ")", "arity")
+                if tokens[pos] != ")":
+                    self._fail(pos, f"expected ')', found {tokens[pos] or 'end of input'!r}", ")")
+                line, column = position(offset) if newlines else (1, offset + 1)
+                node = ast(name, tuple(kids), value, span(line, column, offsets[pos] + 1 - offset))
+                pos += 1
+                frames.pop()
+                if frames:
+                    frames[-1][3].append(node)
+            else:
+                break
+        if tokens[pos]:
+            message = f"trailing input after expression: {tokens[pos]!r}"
+            self._fail(pos, message, {"end of input"})
+        return node
 
-    def _expr(self, want: str):
-        """Parse one expression of type `want`: a generator that yields the
-        type of each subexpression and is sent back its Ast."""
-        kinds = _KINDS[want]
-        kind, name, offset = self._next()
-        if kind != "name":
-            self._fail(
-                offset,
-                f"expected a {_TYPENAME[want]} expression, "
-                f"found {name or 'end of input'!r}",
-                expected=kinds,
-            )
+    def _no_expression(self, pos: int, want: str):
+        """Fail on token `pos`, which does not start an expression of type
+        `want`."""
+        name, kinds, typename = self.tokens[pos], _KINDS[want], _TYPENAME[want]
         op = bitseq._OPERATORS.get(name)
+        if not name[:1].isalpha():
+            found = name or "end of input"
+            self._fail(pos, f"expected a {typename} expression, found {found!r}", kinds)
         if op is None:
-            self._fail(offset, f"unknown operator {name!r}", expected=kinds)
-        if op[0] != want:
-            self._fail(
-                offset,
-                f"{name!r} is an {_TYPENAME[op[0]]} operator, "
-                f"but a {_TYPENAME[want]} expression is required here",
-                expected=kinds,
-                error_class="type",
-            )
-        sig = op[1]
-        if not sig:
-            return Ast(name, span=Span(*self._position(offset), len(name)))
-        kind, text, at = self._next()
-        if kind != "lparen":
-            self._fail(at, f"expected (, found {text or 'end of input'!r}", frozenset({"("}))
-        children: list[Ast] = []
-        value: int | str | None = None
-        for idx, arg in enumerate(sig):
-            if idx > 0:
-                kind, text, at = self._next()
-                if kind == "rparen":
-                    self._too_few(at, name, sig, idx, ",")
-                if kind != "comma":
-                    self._fail(at, f"expected ',', found {text!r}", frozenset({","}))
-            kind, _, at = self.tokens[self.pos]
-            if kind == "rparen":
-                self._too_few(at, name, sig, idx, arg)
-            if arg in _TYPENAME:
-                children.append((yield arg))
-            else:
-                value = self._literal(arg)
-        kind, text, at = self._next()
-        if kind == "comma":
-            self._fail(
-                at,
-                f"too many arguments to {name!r}: expected {len(sig)}",
-                expected=frozenset({")"}),
-                error_class="arity",
-            )
-        if kind != "rparen":
-            self._fail(
-                at,
-                f"expected ')', found {text or 'end of input'!r}",
-                expected=frozenset({")"}),
-            )
-        span = Span(*self._position(offset), at + 1 - offset)
-        return Ast(name, tuple(children), value, span)
+            self._fail(pos, f"unknown operator {name!r}", kinds)
+        message = f"{name!r} is an {_TYPENAME[op[0]]} operator, but a {typename} expression"
+        self._fail(pos, f"{message} is required here", kinds, "type")
 
-    def _too_few(self, offset, name, sig, given, expected):
-        self._fail(
-            offset,
-            f"too few arguments to {name!r}: expected {len(sig)}, got {given}",
-            expected=frozenset({expected}),
-            error_class="arity",
-        )
+    def _too_few(self, pos, name, sig, given, expected):
+        message = f"too few arguments to {name!r}: expected {len(sig)}, got {given}"
+        self._fail(pos, message, {expected}, "arity")
 
-    def _literal(self, arg: str) -> int | str:
-        """Consume a "bits" literal (kept as its text) or a "nat" one."""
-        kind, text, offset = self._next()
-        if kind != "digits" or (arg == "bits" and set(text) - {"0", "1"}):
+    def _literal(self, pos: int, arg: str) -> int | str:
+        """Token `pos` as a "bits" literal (kept as its text) or a "nat" one."""
+        text = self.tokens[pos]
+        if not text.isdigit() or (arg == "bits" and text.strip("01")):
             what = "a bit string" if arg == "bits" else "a natural number"
-            self._fail(
-                offset,
-                f"expected {what}, found {text or 'end of input'!r}",
-                expected=frozenset({arg}),
-            )
+            self._fail(pos, f"expected {what}, found {text or 'end of input'!r}", {arg})
         if arg == "bits":
             return text
         limit = sys.get_int_max_str_digits()
         if limit and len(text) > limit:
-            self._fail(
-                offset,
-                f"natural number literal has {len(text)} digits, "
-                f"more than the limit of {limit}",
-                expected=frozenset({arg}),
-            )
+            message = f"natural number literal has {len(text)} digits, more than the limit of"
+            self._fail(pos, f"{message} {limit}", {arg})
         return int(text)
 
 
@@ -281,14 +306,10 @@ def parse(text: str) -> Ast:
     type; unknown heads report the union of both operator sets.
     """
     p = _Parser(text)
-    kind, name, offset = p.tokens[0]
-    op = bitseq._OPERATORS.get(name) if kind == "name" else None
+    op = bitseq._OPERATORS.get(p.tokens[0])
     if op is None:
-        p._fail(
-            offset,
-            f"expected an expression, found {name or 'end of input'!r}",
-            expected=SEQ_KINDS | ENUM_KINDS,
-        )
+        found = p.tokens[0] or "end of input"
+        p._fail(0, f"expected an expression, found {found!r}", SEQ_KINDS | ENUM_KINDS)
     return p.parse_all(op[0])
 
 
@@ -306,26 +327,31 @@ def _spell(a: Ast) -> tuple[str, list]:
 
 
 def _eval(root: Ast, want: str):
-    """Build the node of every subexpression, children first, from an
-    explicit stack; None in place of a type marks an expression whose
-    children are built."""
-    todo: list[tuple[Ast, str | None]] = [(root, want)]
-    built: list = []
+    """Check each subexpression against the type its place requires, in
+    preorder from explicit stacks of subexpressions and of types; then
+    build their nodes in reverse preorder, where the children of each are
+    the last nodes built, in reverse."""
+    order, todo, wants = [], [root], [want]
     while todo:
-        a, want = todo.pop()
-        if want is None:
-            k = len(built) - len(a.children)
-            built[k:] = [bitseq._node(a.kind, a.value, tuple(built[k:]))]
-            continue
-        op = bitseq._OPERATORS.get(a.kind)
-        if op is None or op[0] != want:
+        a, want = todo.pop(), wants.pop()
+        kind, kids = a._kind, a._children
+        operands = _OPERANDS.get(kind)
+        if operands is None or operands[0] != want:
             article = "a" if want == "seq" else "an"
-            raise ValueError(f"not {article} {_TYPENAME[want]} expression: {a.kind!r}")
-        operands = [arg for arg in op[1] if arg in _TYPENAME]
-        if len(operands) != len(a.children):
-            raise ValueError(f"{a.kind!r} takes {len(operands)} subexpressions")
-        todo.append((a, None))
-        todo += zip(reversed(a.children), reversed(operands))
+            raise ValueError(f"not {article} {_TYPENAME[want]} expression: {kind!r}")
+        if len(operands[1]) != len(kids):
+            raise ValueError(f"{kind!r} takes {len(operands[1])} subexpressions")
+        order.append(a)
+        if kids:
+            todo += kids[::-1]
+            wants += operands[1]
+    built, node = [], bitseq._node
+    for a in reversed(order):
+        if a._children:
+            k = len(built) - len(a._children)
+            built[k:] = [node(a._kind, a._value, tuple(built[k:][::-1]))]
+        else:
+            built.append(node(a._kind, a._value))
     return built[0]
 
 

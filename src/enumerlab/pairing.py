@@ -17,6 +17,7 @@ from functools import partial
 from typing import Iterator, NamedTuple
 
 from .budget import check_budget
+from .record import Record
 
 __all__ = [
     "GridPair",
@@ -45,46 +46,18 @@ class GridPair(NamedTuple):
 _new_pair = partial(tuple.__new__, GridPair)
 
 
-class NodeAddr:
+class NodeAddr(Record):
     """A node of the infinite binary tree: (level, offset), root = (0, 0).
+    Equal only to a NodeAddr with the same fields."""
 
-    Immutable, and equal only to a NodeAddr with the same fields.  The
-    fields are slots written once, through their descriptors, in __init__.
-    """
-
-    __slots__ = ("level", "offset")
+    __slots__ = ("_level", "_offset")
 
     def __init__(self, level: int, offset: int) -> None:
         if level < 0:
             raise ValueError(f"level must be >= 0, got {level}")
         if not 0 <= offset < (1 << level):
             raise ValueError(f"offset {offset} out of range for level {level}")
-        _set_level(self, level)
-        _set_offset(self, offset)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.level == other.level and self.offset == other.offset
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.level, self.offset))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(level={self.level!r}, offset={self.offset!r})"
-
-    def __reduce__(self):
-        return type(self), (self.level, self.offset)
-
-
-_set_level = NodeAddr.level.__set__
-_set_offset = NodeAddr.offset.__set__
+        self._level, self._offset = level, offset
 
 
 def _triangular(d: int) -> int:

@@ -1,0 +1,40 @@
+"""The immutable record type of the package.
+
+A record class lists its fields as __slots__, each with a leading
+underscore; its __init__ checks its arguments and writes each slot once.
+Each field reads through a property of the name without the underscore,
+which has no setter, and no other attribute can be added.  Records of one
+class with equal fields are equal and hash alike, and a record shows and
+pickles as a call of its class on its fields.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        for slot in cls.__slots__:
+            setattr(cls, slot[1:], property(attrgetter(slot)))
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{s[1:]}={v!r}" for s, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()

@@ -1,7 +1,7 @@
 """Values nested far deeper than Python's recursion limit: built by the
 program language or by library calls, every one parses, evaluates, reads,
-describes and prints.  Expected bits are worked out by hand from the
-operators' definitions."""
+describes and prints, and a parsed program compares, hashes and shows.
+Expected bits are worked out by hand from the operators' definitions."""
 
 import gc
 
@@ -124,8 +124,11 @@ def test_program_nested_1e5_deep(name):
     spelling, described, read = CHAINS[name]
     text = chain(*spelling)
     ast = parse(text)
-    # strings, not trees: Ast equality is a dataclass's, and recurses
     assert unparse(ast) == text
+    again = parse(unparse(ast))
+    assert again == ast and hash(again) == hash(ast)
+    # the root's fields close the text
+    assert repr(ast).endswith(f"span=Span(line=1, column=1, length={len(text)}))")
     value = eval_seq(ast) if ast.is_seq else eval_enum(ast)
     assert value.description == chain(*described)
     read(value)

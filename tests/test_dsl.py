@@ -258,6 +258,128 @@ def test_arity_error_diagnostics(text, message, line, column, expected):
     assert str(err) == f"{line}:{column}: {message}"
 
 
+_BOTH = SEQ_KINDS | ENUM_KINDS
+_TOKENS = {"name", "digits", "(", ")", ","}
+
+# (check in the parser, entry point, program, message, line, column,
+# expected set, error class): at least one row for every check, with a
+# multi-line and a blank-heavy program, so every diagnostic is pinned
+PARSE_ERRORS = [
+    ("character", parse, "compl(ones);", "unexpected character ';'", 1, 12, _TOKENS, "syntax"),
+    ("character-line-2", parse, "compl(\n ones)?", "unexpected character '?'", 2, 7, _TOKENS,
+     "syntax"),
+    ("trailing", parse, "ones ones", "trailing input after expression: 'ones'", 1, 6,
+     {"end of input"}, "syntax"),
+    ("trailing-rparen", parse_seq, "ones)", "trailing input after expression: ')'", 1, 5,
+     {"end of input"}, "syntax"),
+    ("no-expression", parse, "compl(,)", "expected a sequence expression, found ','", 1, 7,
+     SEQ_KINDS, "syntax"),
+    ("no-expression-digits", parse, "compl(12)", "expected a sequence expression, found '12'",
+     1, 7, SEQ_KINDS, "syntax"),
+    ("no-expression-eof", parse, "compl(",
+     "expected a sequence expression, found 'end of input'", 1, 7, SEQ_KINDS, "syntax"),
+    ("no-expression-empty", parse_enum, "",
+     "expected a enumeration expression, found 'end of input'", 1, 1, ENUM_KINDS, "syntax"),
+    ("unknown", parse, "compl(bogus)", "unknown operator 'bogus'", 1, 7, SEQ_KINDS, "syntax"),
+    ("unknown-enum", parse, "spliteven(onez)", "unknown operator 'onez'", 1, 11, ENUM_KINDS,
+     "syntax"),
+    ("type-enum", parse, "interleave(ones,zeros)",
+     "'ones' is an sequence operator, but a enumeration expression is required here", 1, 12,
+     ENUM_KINDS, "type"),
+    ("type-enum-head", parse_enum, "ones",
+     "'ones' is an sequence operator, but a enumeration expression is required here", 1, 1,
+     ENUM_KINDS, "type"),
+    ("type-seq-head", parse_seq, "figure5",
+     "'figure5' is an enumeration operator, but a sequence expression is required here", 1, 1,
+     SEQ_KINDS, "type"),
+    ("lparen", parse, "compl ones", "expected (, found 'ones'", 1, 7, {"("}, "syntax"),
+    ("lparen-eof", parse, "compl", "expected (, found 'end of input'", 1, 6, {"("}, "syntax"),
+    ("too-few-comma", parse, "interleave(\n  figure5\n)",
+     "too few arguments to 'interleave': expected 2, got 1", 3, 1, {","}, "arity"),
+    ("comma", parse, "prepend(01 ones)", "expected ',', found 'ones'", 1, 12, {","}, "syntax"),
+    ("comma-eof", parse, "prepend(01", "expected ',', found ''", 1, 11, {","}, "syntax"),
+    ("too-few-arg", parse, "insert(figure5, 3,\n )",
+     "too few arguments to 'insert': expected 3, got 2", 2, 2, {"seq"}, "arity"),
+    ("too-many", parse, "  \t compl (\r\n\n   ones  ,  ones )  ",
+     "too many arguments to 'compl': expected 1", 3, 10, {")"}, "arity"),
+    ("rparen", parse, "compl(ones ones)", "expected ')', found 'ones'", 1, 12, {")"},
+     "syntax"),
+    ("rparen-eof", parse, "compl(ones", "expected ')', found 'end of input'", 1, 11, {")"},
+     "syntax"),
+    ("bits", parse, "periodic(21)", "expected a bit string, found '21'", 1, 10, {"bits"},
+     "syntax"),
+    ("nat", parse, "natrow(x)", "expected a natural number, found 'x'", 1, 8, {"nat"},
+     "syntax"),
+    ("nat-eof", parse, "natrow(", "expected a natural number, found 'end of input'", 1, 8,
+     {"nat"}, "syntax"),
+    ("nat-digits", parse, "natrow(" + "9" * 4301 + ")",
+     "natural number literal has 4301 digits, more than the limit of 4300", 1, 8, {"nat"},
+     "syntax"),
+    ("head-eof", parse, "", "expected an expression, found 'end of input'", 1, 1, _BOTH,
+     "syntax"),
+    ("head-lparen", parse, "(ones)", "expected an expression, found '('", 1, 1, _BOTH,
+     "syntax"),
+    ("head-unknown", parse, "bogus(1)", "expected an expression, found 'bogus'", 1, 1, _BOTH,
+     "syntax"),
+    ("multi-line", parse, "insert(\n  figure5,\n  3,\n  compl(\n    onez))",
+     "unknown operator 'onez'", 5, 5, SEQ_KINDS, "syntax"),
+    ("blank-heavy", parse, "\n\n  interleave ( figure5 ,\n\n\tconst( ones ) ) \n x",
+     "trailing input after expression: 'x'", 6, 2, {"end of input"}, "syntax"),
+]
+
+
+@pytest.mark.parametrize(
+    "entry,text,message,line,column,expected,error_class",
+    [row[1:] for row in PARSE_ERRORS],
+    ids=[row[0] for row in PARSE_ERRORS],
+)
+def test_parse_error_diagnostics(entry, text, message, line, column, expected, error_class):
+    with pytest.raises(ParseError) as exc:
+        entry(text)
+    err = exc.value
+    assert (err.message, err.line, err.column) == (message, line, column)
+    assert (err.expected, err.error_class) == (frozenset(expected), error_class)
+    assert str(err) == f"{line}:{column}: {message}"
+
+
+def test_spans_of_a_two_line_program():
+    ast = parse("insert(figure5, 2,\n  compl(periodic(01)))")
+    spans, todo = [], [ast]
+    while todo:
+        node = todo.pop()
+        spans.append((node.kind, node.span.line, node.span.column, node.span.length))
+        todo.extend(reversed(node.children))
+    assert spans == [
+        ("insert", 1, 1, 41),
+        ("figure5", 1, 8, 7),
+        ("compl", 2, 3, 19),
+        ("periodic", 2, 9, 12),
+    ]
+
+
+
+# (entry point, hand-built tree, message): the checks evaluation makes
+EVAL_ERRORS = [
+    (eval_seq, Ast("figure5"), "not a sequence expression: 'figure5'"),
+    (eval_enum, Ast("compl", (Ast("ones"),)), "not an enumeration expression: 'compl'"),
+    (eval_seq, Ast("bogus"), "not a sequence expression: 'bogus'"),
+    (eval_seq, Ast("compl"), "'compl' takes 1 subexpressions"),
+    (eval_enum, Ast("interleave", (Ast("spliteven"), Ast("ones"))),
+     "'spliteven' takes 1 subexpressions"),
+    (eval_enum, Ast("interleave", (Ast("ones"), Ast("zeros"))),
+     "not an enumeration expression: 'ones'"),
+    (eval_seq, Ast("prepend", (Ast("ones"),), "2"), "bit string expected, got '2'"),
+    (eval_enum, Ast("insert", (Ast("figure5"), Ast("ones")), -2),
+     "insertion index must be >= 0, got -2"),
+]
+
+
+@pytest.mark.parametrize("entry,ast,message", EVAL_ERRORS)
+def test_eval_error_messages(entry, ast, message):
+    with pytest.raises(ValueError) as exc:
+        entry(ast)
+    assert str(exc.value) == message
+
 # ---------------------------------------------------------------- reference
 
 # perfbench/reference.py evaluates programs without enumerlab; it is put on

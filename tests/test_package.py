@@ -46,18 +46,39 @@ def test_import_loads_no_module():
     assert not {m for m in loaded if m.startswith("enumerlab.")}
 
 
+def modules_after_command(argv: str, status: int = 0) -> set[str]:
+    """The modules a fresh interpreter holds after `enumerlab argv`
+    returned `status`."""
+    return modules_after(
+        "from enumerlab import cli\n"
+        f"status = cli.dispatch({argv.split()!r})\n"
+        "sys.stdout.flush()\n"
+        f"assert status == {status}, status\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv", ["pair encode 3 0", "tree paths 4", "matrix row 5", "fig 1"]
 )
 def test_command_loads_only_what_it_runs(argv):
-    loaded = modules_after(
-        "from enumerlab import cli\n"
-        f"status = cli.dispatch({argv.split()!r})\n"
-        "sys.stdout.flush()\n"
-        "assert status == 0, status\n"
-    )
+    loaded = modules_after_command(argv)
     assert "enumerlab.cli" in loaded
     assert not {"enumerlab.audit", "enumerlab.dsl", "dataclasses", "fractions"} & loaded
+
+
+@pytest.mark.parametrize(
+    "argv,status",
+    [
+        ("diag apply figure5 --rows 2 --prefix 8", 0),
+        ("diag cert figure5 --rows 5", 0),
+        ("diag cert figure5 --rows 5 --format json", 0),
+        ("audit --depth 3", 1),
+    ],
+)
+def test_records_load_no_dataclasses(argv, status):
+    loaded = modules_after_command(argv, status)
+    assert {"enumerlab.dsl", "enumerlab.diagonal"} & loaded
+    assert not {"dataclasses", "inspect"} & loaded
 
 
 def test_names_come_from_their_modules():
