@@ -17,13 +17,13 @@ __version__ = "0.1.0"
 # module -> the public names re-exported from it
 _EXPORTS = {
     "bitseq": (
-        "BitSeq", "PositionError", "complement", "dyadic_bounds", "eq_prefix",
-        "nat_row", "ones", "periodic", "prefix", "prepend", "zeros",
+        "BitSeq", "Enumeration", "PositionError", "complement", "dyadic_bounds",
+        "eq_prefix", "nat_row", "ones", "periodic", "prefix", "prepend", "zeros",
     ),
     "budget": ("DEFAULT_BUDGET", "BudgetError", "enumeration_budget"),
     "diagonal": (
-        "Certificate", "Enumeration", "antidiagonal", "certificates",
-        "check_certificate", "constant", "insert", "interleave", "split",
+        "Certificate", "antidiagonal", "certificates", "check_certificate",
+        "constant", "insert", "interleave", "split",
     ),
     "pairing": (
         "GridPair", "NodeAddr", "level_pairs", "node_to_pair", "pair_to_node",

@@ -20,24 +20,26 @@ Claim ids:
   C9  the matrix lists every infinite path -- REFUTED: rows have finite support
   C10 closed-form row labels match the step-by-step walk count
 
-The exponential claims check one tree level at a time with set operations
-over plain keys, and pay for witnesses only on a refutation, when they scan
-again in (level, offset) order:
+The exponential claims read one tree level at a time into sets of plain
+keys; only C1 scans again, in (level, offset) order, for a witness:
   C1  reads each level's image from pairing.level_pairs, checks it lists
       2^k pairs, and adds it to the pairs seen so far in one update; the
       level holds 2^k distinct pairs, none seen on an earlier level, exactly
       when the seen set grows by 2^k
   C3  keys the ending of every enumerated path (through tree.path_to_addr)
-      by its heap index 2^k + j; level t must give exactly 2^t..2^(t+1)-1
+      by its heap index 2^k + j in one set over all lengths, which must be
+      2..2^(depth+1)-1; witnesses are the 8 smallest missing and extra keys
   C8  reads each of the first 2^d rows once, as a d-bit nat_row block;
       width i keeps the low i bits and compares them with the enumerated
-      paths of length i read as ints
+      paths of length i read as ints, naming the missing from that difference
 """
 
 from __future__ import annotations
 
 import json
 import time
+from heapq import nsmallest
+from itertools import chain, filterfalse, islice
 
 from . import bitseq, diagonal, listmatrix, pairing, tree
 from .budget import BudgetError, check_budget
@@ -80,7 +82,7 @@ class ClaimReport(Record):
         return self.elapsed_ns // 1_000_000
 
 
-def _battery() -> list[diagonal.Enumeration]:
+def _battery() -> list[bitseq.Enumeration]:
     """Fixed enumeration battery for the certificate claims: an all-zeros
     list, the matrix, two interleavings, and the matrix with its own
     diagonal complement inserted at row 1."""
@@ -154,32 +156,20 @@ def _claim_c2(depth: int) -> tuple[str, list]:
 
 def _claim_c3(depth: int) -> tuple[str, list]:
     check_budget((1 << (depth + 1)) - 2)
-    # every enumerated path goes through path_to_addr; node (k, j) is keyed
-    # by its heap index 2^k + j, so level t must give exactly 2^t..2^(t+1)-1
-    for t in range(1, depth + 1):
-        endings = {
-            (1 << a.level) + a.offset
-            for a in map(tree.path_to_addr, tree.paths_at_depth(t))
-        }
-        if len(endings) != 1 << t or not endings.issuperset(range(1 << t, 2 << t)):
-            return _c3_all_levels(depth)
-    return VERIFIED, []
-
-
-def _c3_all_levels(depth: int) -> tuple[str, list]:
-    """The claim over all levels at once, with (level, offset) tuple sets:
-    a level that misses its own nodes may still be made up by another."""
-    endings = set()
-    for t in range(1, depth + 1):
-        for p in tree.paths_at_depth(t):
-            a = tree.path_to_addr(p)
-            endings.add((a.level, a.offset))
-    expected = {(k, j) for k in range(1, depth + 1) for j in range(1 << k)}
-    if endings == expected:
+    # heap index 2^k + j: one key per node (k, j), since NodeAddr keeps j < 2^k
+    paths = chain.from_iterable(map(tree.paths_at_depth, range(1, depth + 1)))
+    keys = {(1 << a.level) + a.offset for a in map(tree.path_to_addr, paths)}
+    nodes = range(2, 2 << depth)
+    if len(keys) == len(nodes) and keys.issuperset(nodes):
         return VERIFIED, []
-    missing = sorted(list(expected - endings)[:8])
-    extra = sorted(list(endings - expected)[:8])
-    return REFUTED, [{"missing": missing, "extra": extra}]
+    missing = islice(filterfalse(keys.__contains__, nodes), 8)
+    extra = nsmallest(8, filterfalse(nodes.__contains__, keys))
+    return REFUTED, [{"missing": _c3_nodes(missing), "extra": _c3_nodes(extra)}]
+
+
+def _c3_nodes(keys) -> list[tuple[int, int]]:
+    """The (level, offset) nodes of heap keys."""
+    return [(h.bit_length() - 1, h - (1 << (h.bit_length() - 1))) for h in keys]
 
 
 def _claim_c4(depth: int) -> tuple[str, list]:
@@ -271,8 +261,7 @@ def _claim_c8(depth: int) -> tuple[str, list]:
         listed = set(map(((1 << i) - 1).__and__, rows))
         expected = {int(p[::-1], 2) for p in tree.paths_at_depth(i)}
         if listed != expected:
-            strings = {format(b, f"0{i}b")[::-1] for b in listed}
-            sample = sorted(set(tree.paths_at_depth(i)) - strings)[:8]
+            sample = sorted(format(b, f"0{i}b")[::-1] for b in expected - listed)[:8]
             return REFUTED, [{"width": i, "size": len(listed), "missing": sample}]
     return VERIFIED, []
 

@@ -38,6 +38,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "BitSeq",
+    "Enumeration",
     "PositionError",
     "zeros",
     "ones",
@@ -70,7 +71,7 @@ _OPERATORS = {
 }
 _BITS = frozenset("01")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")  # bit values to ASCII digits
-_FLIP = bytes.maketrans(b"01", b"10")
+_FLIPS = (None, bytes.maketrans(b"01", b"10"))  # by flip: as is, or 0 and 1 swapped
 
 
 class PositionError(ValueError):
@@ -91,7 +92,7 @@ class _Node:
 
     @property
     def description(self) -> str:
-        return _render(self, _spell, ", ")
+        return _render(self, _spell)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.description})"
@@ -154,7 +155,7 @@ def _node(op: str, lit=None, kids: tuple = ()) -> _Node:
     if op == "natrow" and lit < 0:
         raise ValueError(f"natural expected, got {_decimal_or_hex(lit)}")
     if op == "insert" and lit < 0:
-        raise ValueError(f"insertion index must be >= 0, got {lit}")
+        raise ValueError(f"insertion index must be >= 0, got {_decimal_or_hex(lit)}")
     if op == "periodic" and (not lit or set(lit) - _BITS):
         raise ValueError(f"pattern must be a nonempty bit string, got {lit!r}")
     if op == "prepend" and set(lit) - _BITS:
@@ -278,14 +279,15 @@ def _shift(r: range, d: int) -> range:
 
 def _diagonal_block(node: BitSeq, start: int, n: int) -> int:
     """Bits start..start+n-1 of `node`, packed as _read packs them, from
-    one walk over tasks (node, rows, positions, slots, flip): row rows[k] of
+    one walk over tasks (node, rows, positions, base, flip): row rows[k] of
     an enumeration, or the sequence itself when rows is None, at
-    positions[k] is output bit slots[k], complemented when flip is 1.  Each
-    operator maps these aligned ranges in O(1) or splits them in a few."""
+    positions[k] is output bit positions[k] - base, complemented when flip
+    is 1.  Each operator maps these aligned ranges in O(1) or splits them in
+    a few."""
     out = bytearray(n)
-    todo = [(node, None, range(start, start + n), range(n), 0)]
+    todo = [(node, None, range(start, start + n), start, 0)]
     while todo:
-        node, rows, pos, slots, flip = todo.pop()
+        node, rows, pos, base, flip = todo.pop()
         while pos:
             op, kids = node._op, node._kids
             if op == "compl":
@@ -296,9 +298,9 @@ def _diagonal_block(node: BitSeq, start: int, n: int) -> int:
             elif op == "prepend":
                 head = node._lit
                 part = head[pos.start - 1 : pos.stop - 1 : pos.step].encode()
-                done, slots = slots[: len(part)], slots[len(part) :]
-                out[done.start : done.stop : done.step] = part.translate(_FLIP) if flip else part
-                pos = _shift(pos[len(part) :], -len(head))
+                done = pos[: len(part)]
+                out[done.start - base : done.stop - base : done.step] = part.translate(_FLIPS[flip])
+                pos, base = _shift(pos[len(part) :], -len(head)), base - len(head)
             elif op == "const":
                 rows = None
             elif op == "spliteven" or op == "splitodd":
@@ -306,8 +308,8 @@ def _diagonal_block(node: BitSeq, start: int, n: int) -> int:
                 rows = range(2 * rows.start + odd, 2 * rows.stop + odd, 2 * rows.step)
             elif op == "interleave":
                 if rows.step & 1 and len(rows) > 1:  # parities alternate: split
-                    todo.append((node, rows[1::2], pos[1::2], slots[1::2], flip))
-                    rows, pos, slots = rows[::2], pos[::2], slots[::2]
+                    todo.append((node, rows[1::2], pos[1::2], base, flip))
+                    rows, pos = rows[::2], pos[::2]
                 kids = kids[rows.start & 1 :]  # the child of the rows' parity first
                 rows = range(rows.start >> 1, (rows[-1] >> 1) + 1, rows.step >> 1 or 1)
             elif op == "insert":
@@ -316,12 +318,12 @@ def _diagonal_block(node: BitSeq, start: int, n: int) -> int:
                 if rows[-1] >= k:
                     i = len(range(rows.start, k, rows.step))
                     j = i + (rows[i] == k)
-                    todo.append((kids[0], _shift(rows[j:], -1), pos[j:], slots[j:], flip))
-                    todo.append((kids[1], None, pos[i:j], slots[i:j], flip))
-                    rows, pos, slots = rows[:i], pos[:i], slots[:i]
+                    todo.append((kids[0], _shift(rows[j:], -1), pos[j:], base, flip))
+                    todo.append((kids[1], None, pos[i:j], base, flip))
+                    rows, pos = rows[:i], pos[:i]
             elif op == "rule" and rows is not None:
-                for r, p, s in zip(rows, pos, slots):
-                    todo.append((_row(node, r), None, range(p, p + 1), range(s, s + 1), flip))
+                for r, p in zip(rows, pos):
+                    todo.append((_row(node, r), None, range(p, p + 1), base, flip))
                 break
             else:
                 if op == "figure5":
@@ -336,15 +338,16 @@ def _diagonal_block(node: BitSeq, start: int, n: int) -> int:
                     span = pos[-1] - pos.start + 1
                     text = format(_read(node, pos.start, span), f"0{span}b")
                     bits = text[::-1][:: pos.step].encode()
-                out[slots.start : slots.stop : slots.step] = bits.translate(_FLIP) if flip else bits
+                out[pos.start - base : pos.stop - base : pos.step] = bits.translate(_FLIPS[flip])
                 break
             node = kids[0]
     return int(out[::-1], 2)
 
 
-def _render(root, spell: Callable, sep: str) -> str:
-    """Text of a tree, built without recursion: spell(node) gives a node's
-    head and its arguments in order, each a text or a child node."""
+def _render(root, spell: Callable) -> str:
+    """Text of a tree, built without recursion.  spell(node) gives a node's
+    opening text, its arguments in order (each a text or a child node,
+    spelled in turn), the text that separates them and its closing text."""
     out: list[str] = []
     todo = [root]
     while todo:
@@ -352,25 +355,25 @@ def _render(root, spell: Callable, sep: str) -> str:
         if isinstance(item, str):
             out.append(item)
             continue
-        head, args = spell(item)
-        out.append(f"{head}(" if args else head)
-        if args:
-            todo.append(")")
-            for k in range(len(args) - 1, 0, -1):
-                todo += (args[k], sep)
-            todo.append(args[0])
+        opening, args, sep, closing = spell(item)
+        out.append(opening)
+        todo.append(closing)
+        for arg in reversed(args[1:]):
+            todo += (arg, sep)
+        todo += args[:1]
     return "".join(out)
 
 
-def _spell(node: _Node) -> tuple[str, list]:
+def _spell(node: _Node) -> tuple:
     if node._op == "rule":
-        return node._lit[1], []
+        return node._lit[1], (), "", ""
     _, sig, name = _OPERATORS[node._op]
     kids, lit = iter(node._kids), node._lit
-    return name, [
+    args = [
         next(kids) if arg in _CLASSES else lit if arg == "bits" else _decimal_or_hex(lit)
         for arg in sig
     ]
+    return (f"{name}(", args, ", ", ")") if args else (name, args, "", "")
 
 
 def zeros() -> BitSeq:

@@ -20,7 +20,6 @@ from .bitseq import BitSeq, Enumeration, _node
 from .record import Record
 
 __all__ = [
-    "Enumeration",
     "Certificate",
     "constant",
     "antidiagonal",

@@ -55,7 +55,7 @@ __all__ = [
     "eval_enum",
 ]
 
-_TYPENAME = {"seq": "sequence", "enum": "enumeration"}
+_TYPENAME = {"seq": "a sequence", "enum": "an enumeration"}
 
 
 # The operators are those of bitseq._OPERATORS: operator -> (the type it
@@ -114,17 +114,7 @@ class Ast(Record):
         return hash(tuple(self._shape()))
 
     def __repr__(self) -> str:
-        out, todo = [], [self]
-        while todo:
-            a = todo.pop()
-            if isinstance(a, str):
-                out.append(a)
-                continue
-            out.append(f"{type(a).__qualname__}(kind={a._kind!r}, children=(")
-            kids = a._children
-            todo.append(f"{',' * (len(kids) == 1)}), value={a._value!r}, span={a._span!r})")
-            todo += [x for kid in reversed(kids) for x in (", ", kid)][1:]
-        return "".join(out)
+        return bitseq._render(self, _spell_repr)
 
 
 class ParseError(Exception):
@@ -228,7 +218,8 @@ class _Parser:
                         if tokens[pos] == ")":
                             self._too_few(pos, name, sig, i, ",")
                         if tokens[pos] != ",":
-                            self._fail(pos, f"expected ',', found {tokens[pos]!r}", ",")
+                            found = tokens[pos] or "end of input"
+                            self._fail(pos, f"expected ',', found {found!r}", ",")
                         pos += 1
                     want = sig[i]
                     if tokens[pos] == ")":
@@ -264,10 +255,10 @@ class _Parser:
         op = bitseq._OPERATORS.get(name)
         if not name[:1].isalpha():
             found = name or "end of input"
-            self._fail(pos, f"expected a {typename} expression, found {found!r}", kinds)
+            self._fail(pos, f"expected {typename} expression, found {found!r}", kinds)
         if op is None:
             self._fail(pos, f"unknown operator {name!r}", kinds)
-        message = f"{name!r} is an {_TYPENAME[op[0]]} operator, but a {typename} expression"
+        message = f"{name!r} is {_TYPENAME[op[0]]} operator, but {typename} expression"
         self._fail(pos, f"{message} is required here", kinds, "type")
 
     def _too_few(self, pos, name, sig, given, expected):
@@ -315,15 +306,22 @@ def parse(text: str) -> Ast:
 
 def unparse(a: Ast) -> str:
     """Canonical textual form; parse(unparse(a)) == a modulo spans."""
-    return bitseq._render(a, _spell, ",")
+    return bitseq._render(a, _spell)
 
 
-def _spell(a: Ast) -> tuple[str, list]:
+def _spell(a: Ast) -> tuple:
     op = bitseq._OPERATORS.get(a.kind)
     if op is None:
         raise ValueError(f"unknown node kind {a.kind!r}")
     children = iter(a.children)
-    return a.kind, [next(children) if arg in _TYPENAME else str(a.value) for arg in op[1]]
+    args = [next(children) if arg in _TYPENAME else str(a.value) for arg in op[1]]
+    return (f"{a.kind}(", args, ",", ")") if args else (a.kind, args, "", "")
+
+
+def _spell_repr(a: Ast) -> tuple:
+    kids = a._children
+    closing = f"{',' * (len(kids) == 1)}), value={a._value!r}, span={a._span!r})"
+    return f"{type(a).__qualname__}(kind={a._kind!r}, children=(", kids, ", ", closing
 
 
 def _eval(root: Ast, want: str):
@@ -337,8 +335,7 @@ def _eval(root: Ast, want: str):
         kind, kids = a._kind, a._children
         operands = _OPERANDS.get(kind)
         if operands is None or operands[0] != want:
-            article = "a" if want == "seq" else "an"
-            raise ValueError(f"not {article} {_TYPENAME[want]} expression: {kind!r}")
+            raise ValueError(f"not {_TYPENAME[want]} expression: {kind!r}")
         if len(operands[1]) != len(kids):
             raise ValueError(f"{kind!r} takes {len(operands[1])} subexpressions")
         order.append(a)

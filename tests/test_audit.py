@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from enumerlab import audit, bitseq, cli, pairing, tree
+from enumerlab import audit, bitseq, cli, diagonal, pairing, tree
 from enumerlab.audit import (
     CLAIM_IDS,
     NOT_FINITELY_CHECKABLE,
@@ -245,8 +245,7 @@ def test_enumerated_paths_are_the_oracle(monkeypatch, claim_id):
     [
         # one ending moves onto another node of its level
         ({"0110": (4, 5)}, 6, REFUTED, [{"missing": [(4, 6)], "extra": []}]),
-        # 16 endings collapse onto one node: the first 8 of the missing set
-        # are taken before sorting
+        # 16 endings collapse onto one node: the 8 smallest missing nodes
         (
             {format(j, "05b"): (5, 0) for j in range(16, 32)},
             6,
@@ -254,8 +253,8 @@ def test_enumerated_paths_are_the_oracle(monkeypatch, claim_id):
             [
                 {
                     "missing": [
-                        (5, 17), (5, 20), (5, 21), (5, 23),
-                        (5, 24), (5, 27), (5, 30), (5, 31),
+                        (5, 16), (5, 17), (5, 18), (5, 19),
+                        (5, 20), (5, 21), (5, 22), (5, 23),
                     ],
                     "extra": [],
                 }
@@ -309,6 +308,62 @@ def test_c8_refutation_witness(monkeypatch, repeat, depth, witness):
     r = run_claim("C8", depth)
     assert r.status == REFUTED
     assert r.witnesses == [witness]
+
+
+_UNDECIDED = "prefixes agree to the tested depth; disjointness not decidable at this depth"
+
+
+@pytest.mark.parametrize(
+    "claim_id, module, name, mutate, depth, status, witness",
+    [
+        # pair (1, 1) encodes one past its walk position 4
+        ("C2", pairing, "zigzag_encode",
+         lambda real: lambda p: 5 if p == pairing.GridPair(1, 1) else real(p),
+         10, REFUTED, {"index": 4, "pair": [1, 1], "reencoded": 5}),
+        # the literal walk steps through the transposed grid
+        ("C2", pairing, "zigzag_walk",
+         lambda real: lambda: (pairing.GridPair(n, m) for m, n in real()),
+         10, REFUTED, {"index": 1, "walk_pair": [0, 1]}),
+        ("C4", tree, "node_count", lambda real: lambda i: real(i) + (i == 5),
+         8, REFUTED, {"depth": 5, "sum": 62, "node_count": 63}),
+        # the all-ones path of length 3 ends one node short
+        ("C5", tree, "path_to_addr",
+         lambda real: lambda p: pairing.NodeAddr(3, 6) if p == "111" else real(p),
+         6, REFUTED, {"level": 3, "node": [3, 6]}),
+        ("C6", diagonal, "check_certificate",
+         lambda real: lambda E, x, cert: cert.row != 3 and real(E, x, cert),
+         6, REFUTED, {"enumeration": "constant(zeros)", "row": 3, "position": 4}),
+        # rows 4 and 7 of the matrix, even row 2 and odd row 3, compare equal
+        ("C7", bitseq, "eq_prefix",
+         lambda real: lambda a, b, n: None
+         if (a.description, b.description) == ("nat_row(4)", "nat_row(7)") else real(a, b, n),
+         6, NOT_FINITELY_CHECKABLE,
+         {"even_row": 2, "odd_row": 3, "prefix_depth": 6, "note": _UNDECIDED}),
+        # the diagonal complement reads as differing from all-ones
+        ("C9", bitseq, "eq_prefix", lambda real: lambda a, b, n: 1,
+         6, NOT_FINITELY_CHECKABLE,
+         {"note": "diagonal complement unexpectedly differs from all-ones"}),
+        ("C10", pairing, "row_label", lambda real: lambda i: real(i) + (i == 4),
+         8, REFUTED, {"row": 4, "closed_form": 11, "walk": 10}),
+    ],
+    ids=["C2-encode", "C2-walk", "C4", "C5", "C6", "C7", "C9-diagonal", "C10"],
+)
+def test_mutation_witness(monkeypatch, claim_id, module, name, mutate, depth, status, witness):
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    r = run_claim(claim_id, depth)
+    assert (r.status, r.witnesses) == (status, [witness])
+
+
+def test_c9_witness_failing_revalidation_is_internal_error(capsys, monkeypatch):
+    # row 3 reads as row 4, which holds a 1 at the witnessed position 3
+    real = bitseq.nat_row
+    monkeypatch.setattr(bitseq, "nat_row", lambda r: real(4) if r == 3 else real(r))
+    message = "witness failed revalidation: {'row': 3, 'position': 3, 'row_bit': 0, 'ones_bit': 1}"
+    with pytest.raises(AssertionError) as exc:
+        run_claim("C9", 4)
+    assert str(exc.value) == message
+    assert cli.dispatch(["audit", "--claim", "C9", "--depth", "4"]) == cli.EXIT_INTERNAL
+    assert capsys.readouterr() == ("", f"internal error: AssertionError: {message}\n")
 
 
 GOLDEN = Path(__file__).parent / "golden"

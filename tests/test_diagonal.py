@@ -136,6 +136,10 @@ def test_row_index_validation():
         matrix_enumeration().row(-1)
     with pytest.raises(ValueError):
         insert(matrix_enumeration(), -2, zeros())
+    # past the interpreter's decimal conversion limit the index is shown in hex
+    huge = -(10**5000)
+    with pytest.raises(ValueError, match=f"^insertion index must be >= 0, got {hex(huge)}$"):
+        insert(matrix_enumeration(), huge, zeros())
 
 
 def test_certificates_reject_negative_count():

@@ -279,15 +279,15 @@ PARSE_ERRORS = [
     ("no-expression-eof", parse, "compl(",
      "expected a sequence expression, found 'end of input'", 1, 7, SEQ_KINDS, "syntax"),
     ("no-expression-empty", parse_enum, "",
-     "expected a enumeration expression, found 'end of input'", 1, 1, ENUM_KINDS, "syntax"),
+     "expected an enumeration expression, found 'end of input'", 1, 1, ENUM_KINDS, "syntax"),
     ("unknown", parse, "compl(bogus)", "unknown operator 'bogus'", 1, 7, SEQ_KINDS, "syntax"),
     ("unknown-enum", parse, "spliteven(onez)", "unknown operator 'onez'", 1, 11, ENUM_KINDS,
      "syntax"),
     ("type-enum", parse, "interleave(ones,zeros)",
-     "'ones' is an sequence operator, but a enumeration expression is required here", 1, 12,
+     "'ones' is a sequence operator, but an enumeration expression is required here", 1, 12,
      ENUM_KINDS, "type"),
     ("type-enum-head", parse_enum, "ones",
-     "'ones' is an sequence operator, but a enumeration expression is required here", 1, 1,
+     "'ones' is a sequence operator, but an enumeration expression is required here", 1, 1,
      ENUM_KINDS, "type"),
     ("type-seq-head", parse_seq, "figure5",
      "'figure5' is an enumeration operator, but a sequence expression is required here", 1, 1,
@@ -297,7 +297,8 @@ PARSE_ERRORS = [
     ("too-few-comma", parse, "interleave(\n  figure5\n)",
      "too few arguments to 'interleave': expected 2, got 1", 3, 1, {","}, "arity"),
     ("comma", parse, "prepend(01 ones)", "expected ',', found 'ones'", 1, 12, {","}, "syntax"),
-    ("comma-eof", parse, "prepend(01", "expected ',', found ''", 1, 11, {","}, "syntax"),
+    ("comma-eof", parse, "prepend(01", "expected ',', found 'end of input'", 1, 11, {","},
+     "syntax"),
     ("too-few-arg", parse, "insert(figure5, 3,\n )",
      "too few arguments to 'insert': expected 3, got 2", 2, 2, {"seq"}, "arity"),
     ("too-many", parse, "  \t compl (\r\n\n   ones  ,  ones )  ",

@@ -2,6 +2,7 @@
 loads none of its modules, each public name comes from its module on first
 use, and a command loads only the modules it runs."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -16,11 +17,11 @@ SRC = str(Path(enumerlab.__file__).resolve().parents[1])
 
 # module -> the public names the package re-exports from it
 SURFACE = {
-    "bitseq": "BitSeq PositionError complement dyadic_bounds eq_prefix nat_row ones "
-    "periodic prefix prepend zeros",
+    "bitseq": "BitSeq Enumeration PositionError complement dyadic_bounds eq_prefix nat_row "
+    "ones periodic prefix prepend zeros",
     "budget": "DEFAULT_BUDGET BudgetError enumeration_budget",
-    "diagonal": "Certificate Enumeration antidiagonal certificates check_certificate "
-    "constant insert interleave split",
+    "diagonal": "Certificate antidiagonal certificates check_certificate constant insert "
+    "interleave split",
     "pairing": "GridPair NodeAddr level_pairs node_to_pair pair_to_node row_label "
     "zigzag_decode zigzag_encode",
     "tree": "children node_count path_to_addr paths_at_depth prefix_chain",
@@ -122,3 +123,12 @@ def test_claim_choices_are_the_catalog():
     arguments = cli._COMMANDS["audit"][1][None][2]
     claim = next(kwargs for flags, kwargs in arguments if flags == ("--claim",))
     assert tuple(claim["choices"]) == audit.CLAIM_IDS
+
+
+def test_every_source_file_parses_as_python_3_10():
+    # the oldest grammar pyproject.toml allows; API use needs a 3.10 interpreter to check
+    root = Path(SRC).parent
+    files = [p for d in ("src", "tests", "demos", "perfbench") for p in (root / d).rglob("*.py")]
+    assert files
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

@@ -60,8 +60,8 @@ def constructor_values() -> dict:
         "split(matrix)[1]": odd,
         "interleave(even, odd)": diagonal.interleave(even, odd),
         "insert(matrix, 2, ones())": diagonal.insert(matrix, 2, bitseq.ones()),
-        "Enumeration(rule)": diagonal.Enumeration(bitseq.nat_row),
-        "Enumeration(rule, description)": diagonal.Enumeration(
+        "Enumeration(rule)": bitseq.Enumeration(bitseq.nat_row),
+        "Enumeration(rule, description)": bitseq.Enumeration(
             lambda r: bitseq.periodic("01" if r % 2 else "1"), description="mine"
         ),
     }
