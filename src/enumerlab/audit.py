@@ -20,18 +20,23 @@ Claim ids:
   C9  the matrix lists every infinite path -- REFUTED: rows have finite support
   C10 closed-form row labels match the step-by-step walk count
 
-The exponential claims read one tree level at a time into sets of plain
-keys; only C1 scans again, in (level, offset) order, for a witness:
-  C1  reads each level's image from pairing.level_pairs, checks it lists
-      2^k pairs, and adds it to the pairs seen so far in one update; the
-      level holds 2^k distinct pairs, none seen on an earlier level, exactly
-      when the seen set grows by 2^k
+C1 and C8 hold one tree level at a time and drop it before reading the
+next; C3 holds one int key per node of every level:
+  C1  reads each level's image from pairing.level_pairs and checks it lists
+      2^k pairs whose set has 2^k members; equal pairs have equal sums
+      m + n, so of the earlier levels it keeps only a map from each sum to
+      the levels that had it, and reads a level again, to test that it
+      shares no pair with this one, only when it shares one of its sums;
+      its witness comes from one more scan of the refuted level and of the
+      earlier levels that share its sums, in (level, offset) order
   C3  keys the ending of every enumerated path (through tree.path_to_addr)
       by its heap index 2^k + j in one set over all lengths, which must be
       2..2^(depth+1)-1; witnesses are the 8 smallest missing and extra keys
-  C8  reads each of the first 2^d rows once, as a d-bit nat_row block;
-      width i keeps the low i bits and compares them with the enumerated
-      paths of length i read as ints, naming the missing from that difference
+  C8  checks the budget for its 2^d rows, then reads each of them once, as
+      a d-bit nat_row block; width i removes the rows' low i bits from the
+      enumerated paths of length i read as ints, and 2^i rows that leave
+      none of 2^i keys list each of them once; the set of the rows' keys
+      is built only on the way to a refutation
 """
 
 from __future__ import annotations
@@ -100,29 +105,39 @@ def _battery() -> list[bitseq.Enumeration]:
 
 def _claim_c1(depth: int) -> tuple[str, list]:
     check_budget((1 << (depth + 1)) - 1)
-    seen: set[pairing.GridPair] = set()
+    # equal pairs have equal sums m + n: of the earlier levels only their
+    # sums are kept, and a level that shares one is read again
+    levels_by_sum: dict[int, list[int]] = {}
     for k in range(depth + 1):
         level = pairing.level_pairs(k)
         if len(level) != 1 << k:
             raise RuntimeError(f"level_pairs({k}) does not list {1 << k} pairs")
-        before = len(seen)
-        seen.update(level)
-        if len(seen) != before + (1 << k):
-            return REFUTED, [_c1_first_collision(k)]
+        pairs = set(level)
+        sums = set(map(sum, level))
+        del level
+        shared = sorted({j for s in sums for j in levels_by_sum.get(s, ())})
+        repeats = len(pairs) != 1 << k or not all(
+            map(pairs.isdisjoint, map(pairing.level_pairs, shared))
+        )
+        del pairs
+        if repeats:
+            return REFUTED, [_c1_first_collision(k, shared)]
+        for s in sums:
+            levels_by_sum.setdefault(s, []).append(k)
     return VERIFIED, []
 
 
-def _c1_first_collision(last: int) -> dict:
+def _c1_first_collision(last: int, earlier: list[int]) -> dict:
     """The first pair hit twice, scanning nodes in (k, j) order up to level
-    `last`, with the node that hit it first."""
-    first: dict[pairing.GridPair, tuple[int, int]] = {}
-    for k in range(last + 1):
-        level = pairing.level_pairs(k)
-        for j in range(1 << k):
-            p = level[j]
-            if p in first:
-                return {"pair": [p.m, p.n], "node_a": list(first[p]), "node_b": [k, j]}
-            first[p] = (k, j)
+    `last`, with the node that hit it first.  The levels below `last`
+    repeat no pair, so the second hit is on level `last`, and the first on
+    that level or on one of the `earlier` levels, those that share a sum
+    with it."""
+    first = {p: (k, j) for k in earlier for j, p in enumerate(pairing.level_pairs(k))}
+    for j, p in enumerate(pairing.level_pairs(last)):
+        if p in first:
+            return {"pair": [p.m, p.n], "node_a": list(first[p]), "node_b": [last, j]}
+        first[p] = (last, j)
     raise RuntimeError(f"level_pairs({last}) does not list {1 << last} pairs")
 
 
@@ -250,20 +265,37 @@ def _claim_c7(depth: int) -> tuple[str, list]:
 
 
 def _claim_c8(depth: int) -> tuple[str, list]:
+    check_budget(1 << depth)
     # row r's first `depth` bits, packed least-significant-bit first, so
     # its length-i prefix is the low i bits; each row is read once
     rows: list[int] = []
     for i in range(1, depth + 1):
-        check_budget(1 << i)
         rows.extend(
             bitseq.nat_row(r).block(1, depth) for r in range(len(rows), 1 << i)
         )
-        listed = set(map(((1 << i) - 1).__and__, rows))
-        expected = {int(p[::-1], 2) for p in tree.paths_at_depth(i)}
-        if listed != expected:
-            sample = sorted(format(b, f"0{i}b")[::-1] for b in expected - listed)[:8]
-            return REFUTED, [{"width": i, "size": len(listed), "missing": sample}]
+        witness = _c8_width(rows, i)
+        if witness is not None:
+            return REFUTED, [witness]
     return VERIFIED, []
+
+
+def _c8_width(rows: list[int], i: int) -> dict | None:
+    """The refutation at width i, or None when the low i bits of the 2^i
+    rows list the enumerated paths of length i exactly.  The width's sets
+    are freed on return, before the next width is read."""
+    mask = (1 << i) - 1
+    missing = {int(p[::-1], 2) for p in tree.paths_at_depth(i)}
+    size = len(missing)
+    missing.difference_update(map(mask.__and__, rows))
+    # 2^i rows that leave none of 2^i keys list each of them once; an
+    # enumeration of another size is compared with the listed set
+    if not missing and size == 1 << i:
+        return None
+    listed = set(map(mask.__and__, rows))
+    if not missing and len(listed) == size:
+        return None
+    sample = sorted(format(b, f"0{i}b")[::-1] for b in missing)[:8]
+    return {"width": i, "size": len(listed), "missing": sample}
 
 
 def _claim_c9(depth: int) -> tuple[str, list]:

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -183,19 +184,30 @@ def test_elapsed_ns_and_ms():
 
 
 @pytest.mark.parametrize(
-    "moves, witness",
+    "moves, witness, read",
     [
         # two nodes of level 3 project to one pair
-        ({(3, 5): (3, 2)}, {"pair": [2, 5], "node_a": [3, 2], "node_b": [3, 5]}),
-        # a node of level 4 projects onto a pair of level 2
-        ({(4, 0): (2, 1)}, {"pair": [1, 2], "node_a": [2, 1], "node_b": [4, 0]}),
+        (
+            {(3, 5): (3, 2)},
+            {"pair": [2, 5], "node_a": [3, 2], "node_b": [3, 5]},
+            [0, 1, 2, 3, 3],
+        ),
+        # a node of level 4 projects onto a pair of level 2, the one earlier
+        # level that shares a sum with it and is read again
+        (
+            {(4, 0): (2, 1)},
+            {"pair": [1, 2], "node_a": [2, 1], "node_b": [4, 0]},
+            [0, 1, 2, 3, 4, 2, 2, 4],
+        ),
     ],
     ids=["same-level", "across-levels"],
 )
-def test_c1_refutation_witness(monkeypatch, moves, witness):
+def test_c1_refutation_witness(monkeypatch, moves, witness, read):
     real = pairing.level_pairs
+    levels_read = []
 
     def level_pairs(k):
+        levels_read.append(k)
         pairs = real(k)
         for (level, j), (to_level, to_j) in moves.items():
             if level == k:
@@ -206,6 +218,26 @@ def test_c1_refutation_witness(monkeypatch, moves, witness):
     r = run_claim("C1", 6)
     assert r.status == REFUTED
     assert r.witnesses == [witness]
+    assert levels_read == read
+
+
+def test_c1_shared_sum_is_not_a_collision(monkeypatch):
+    # (-1, 4) has the sum 3 of level 2 but is none of its pairs: level 2 is
+    # read again, found disjoint from level 3, and the claim holds
+    real = pairing.level_pairs
+    read = []
+
+    def level_pairs(k):
+        read.append(k)
+        pairs = real(k)
+        if k == 3:
+            pairs[5] = pairing.GridPair(-1, 4)
+        return pairs
+
+    monkeypatch.setattr(pairing, "level_pairs", level_pairs)
+    r = run_claim("C1", 6)
+    assert (r.status, r.witnesses) == (VERIFIED, [])
+    assert read == [0, 1, 2, 3, 2, 4, 5, 6]
 
 
 @pytest.mark.parametrize(
@@ -308,6 +340,49 @@ def test_c8_refutation_witness(monkeypatch, repeat, depth, witness):
     r = run_claim("C8", depth)
     assert r.status == REFUTED
     assert r.witnesses == [witness]
+
+
+def test_c8_oracle_and_rows_missing_the_same_string_verifies(monkeypatch):
+    # row 5 repeats row 3 and the enumeration leaves out the string both
+    # miss: the 8 rows list the 7 enumerated strings, as C8 compares them
+    real_row, real_paths = bitseq.nat_row, tree.paths_at_depth
+    monkeypatch.setattr(bitseq, "nat_row", lambda r: real_row(3 if r == 5 else r))
+    monkeypatch.setattr(
+        tree, "paths_at_depth", lambda i: (p for p in real_paths(i) if p != "101")
+    )
+    assert (run_claim("C8", 3).status, run_claim("C8", 4).status) == (VERIFIED, REFUTED)
+
+
+def test_c8_checks_its_budget_before_reading_a_row(monkeypatch):
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "4096")
+    real = bitseq.nat_row
+    read = []
+    monkeypatch.setattr(bitseq, "nat_row", lambda r: read.append(r) or real(r))
+    with pytest.raises(BudgetError, match=r"^enumeration of 8192 items exceeds budget of 4096$"):
+        run_claim("C8", 13)
+    assert read == []
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes allocated while fn runs, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_c1_holds_one_level_at_a_time():
+    # the one structure C1 must hold: the largest level's pairs and their set
+    level = _traced_peak(lambda: set(pairing.level_pairs(14)))
+    assert _traced_peak(lambda: run_claim("C1", 14)) <= 1.25 * level
+
+
+def test_c8_holds_its_rows_and_one_width():
+    # what C8 must hold at once: 2^14 row ints and the keys of the widest width
+    held = _traced_peak(lambda: (list(range(1 << 14)), set(range(1 << 14))))
+    assert _traced_peak(lambda: run_claim("C8", 14)) <= 1.25 * held
 
 
 _UNDECIDED = "prefixes agree to the tested depth; disjointness not decidable at this depth"
