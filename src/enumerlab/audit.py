@@ -143,28 +143,16 @@ def _c1_first_collision(last: int, earlier: list[int]) -> dict:
 
 def _claim_c2(depth: int) -> tuple[str, list]:
     check_budget(depth)
+    # decode inverts encode and follows the literal walk below the depth, so
+    # each anti-diagonal's pairs, walked in order, encode onto its block
+    walk = pairing.zigzag_walk()
     for i in range(depth):
         p = pairing.zigzag_decode(i)
         back = pairing.zigzag_encode(p)
         if back != i:
             return REFUTED, [{"index": i, "pair": [p.m, p.n], "reencoded": back}]
-    # each anti-diagonal fully inside the range must map onto a contiguous
-    # block of walk positions
-    d = 0
-    while (d + 1) * (d + 2) // 2 <= depth:
-        lo = d * (d + 1) // 2
-        hi = (d + 1) * (d + 2) // 2
-        positions = {
-            pairing.zigzag_encode(pairing.GridPair(m, d - m)) for m in range(d + 1)
-        }
-        if positions != set(range(lo, hi)):
-            return REFUTED, [{"diagonal": d, "positions": sorted(positions)}]
-        d += 1
-    # spot-check the closed form against the literal walk
-    walk = pairing.zigzag_walk()
-    for i in range(min(depth, 1000)):
         stepped = next(walk)
-        if pairing.zigzag_decode(i) != stepped:
+        if p != stepped:
             return REFUTED, [{"index": i, "walk_pair": list(stepped)}]
     return VERIFIED, []
 
@@ -193,17 +181,11 @@ def _claim_c4(depth: int) -> tuple[str, list]:
         total += 1 << i
         if total != tree.node_count(i):
             return REFUTED, [{"depth": i, "sum": total, "node_count": tree.node_count(i)}]
-    # enumeration cross-check where it is cheap
-    enum_total = 0
+    # enumeration cross-check where it is cheap: 2^i paths per level sum as above
     for i in range(1, min(depth, 12) + 1):
         level_count = sum(1 for _ in tree.paths_at_depth(i))
         if level_count != 1 << i:
             return REFUTED, [{"depth": i, "enumerated": level_count}]
-        enum_total += level_count
-        if enum_total != tree.node_count(i):
-            return REFUTED, [
-                {"depth": i, "enumerated_sum": enum_total, "node_count": tree.node_count(i)}
-            ]
     return VERIFIED, []
 
 
@@ -211,21 +193,13 @@ def _claim_c5(depth: int) -> tuple[str, list]:
     # The projection maps node (k, j) to (j, 2^k-1-j), which puts the
     # all-ones path at column 2^k-1.  The claim places it in column 0,
     # which holds only under the mirrored orientation (k, j) -> (2^k-1-j, j);
-    # the verdict below is relative to that flag.
-    witnesses = [{"orientation": "mirrored"}]
+    # the verdict below is relative to that flag.  At node (k, 2^k-1), the
+    # mirrored pair (0, 2^k-1) and the inclusive distance 2^k are identities.
     for k in range(depth + 1):
-        top = (1 << k) - 1
         addr = tree.path_to_addr("1" * k)
-        if addr != pairing.NodeAddr(k, top):
+        if addr != pairing.NodeAddr(k, (1 << k) - 1):
             return REFUTED, [{"level": k, "node": [addr.level, addr.offset]}]
-        mirrored = pairing.GridPair(top - addr.offset, addr.offset)
-        if mirrored != pairing.GridPair(0, top):
-            return REFUTED, [{"level": k, "pair": [mirrored.m, mirrored.n]}]
-        # inclusive node count down column 0 from (0,0) to (0, 2^k-1)
-        distance = top - 0 + 1
-        if distance != 1 << k:
-            return REFUTED, [{"level": k, "distance": distance}]
-    return VERIFIED, witnesses
+    return VERIFIED, [{"orientation": "mirrored"}]
 
 
 def _claim_c6(depth: int) -> tuple[str, list]:
@@ -311,16 +285,12 @@ def _claim_c9(depth: int) -> tuple[str, list]:
     max_row = 0
     for r in range(n_rows):
         # first zero bit of r, 1-based: the first position where row r
-        # disagrees with the all-ones sequence
+        # disagrees with the all-ones sequence; pos <= r.bit_length() + 1 <= depth + 1
         x = r
         pos = 1
         while x & 1:
             x >>= 1
             pos += 1
-        if pos > r.bit_length() + 1 or pos > depth + 1:
-            return NOT_FINITELY_CHECKABLE, [
-                {"row": r, "position": pos, "note": "bound violated"}
-            ]
         if pos > max_position:
             max_position = pos
             max_row = r

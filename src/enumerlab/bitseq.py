@@ -33,6 +33,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
+from .record import _repr_or_hex
+
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -153,9 +155,9 @@ _new = object.__new__
 def _node(op: str, lit=None, kids: tuple = ()) -> _Node:
     """Check the literal of operator `op` and build its node."""
     if op == "natrow" and lit < 0:
-        raise ValueError(f"natural expected, got {_decimal_or_hex(lit)}")
+        raise ValueError(f"natural expected, got {_repr_or_hex(lit)}")
     if op == "insert" and lit < 0:
-        raise ValueError(f"insertion index must be >= 0, got {_decimal_or_hex(lit)}")
+        raise ValueError(f"insertion index must be >= 0, got {_repr_or_hex(lit)}")
     if op == "periodic" and (not lit or set(lit) - _BITS):
         raise ValueError(f"pattern must be a nonempty bit string, got {lit!r}")
     if op == "prepend" and set(lit) - _BITS:
@@ -370,7 +372,7 @@ def _spell(node: _Node) -> tuple:
     _, sig, name = _OPERATORS[node._op]
     kids, lit = iter(node._kids), node._lit
     args = [
-        next(kids) if arg in _CLASSES else lit if arg == "bits" else _decimal_or_hex(lit)
+        next(kids) if arg in _CLASSES else lit if arg == "bits" else _repr_or_hex(lit)
         for arg in sig
     ]
     return (f"{name}(", args, ", ", ")") if args else (name, args, "", "")
@@ -387,15 +389,6 @@ def ones() -> BitSeq:
 def periodic(pattern: str) -> BitSeq:
     """Repeat a finite nonempty bit pattern forever: periodic("01") = 0101..."""
     return _node("periodic", pattern)
-
-
-def _decimal_or_hex(r: int) -> str:
-    """r in decimal, or in hex when it has more decimal digits than the
-    interpreter converts (sys.get_int_max_str_digits())."""
-    try:
-        return str(r)
-    except ValueError:
-        return hex(r)
 
 
 def nat_row(r: int) -> BitSeq:

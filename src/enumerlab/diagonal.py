@@ -60,14 +60,18 @@ def antidiagonal(E: Enumeration) -> BitSeq:
 
 def certificates(E: Enumeration, upto: int) -> list[Certificate]:
     """Disagreement certificates for the diagonal complement of E against
-    each of the first `upto` rows."""
+    each of the first `upto` rows.  A row that agrees with the complement
+    is an internal fault, a RuntimeError, not a bad argument."""
     if upto < 0:
         raise ValueError(f"row count upto must be >= 0, got {upto}")
     x = antidiagonal(E)
     out = []
     for r in range(upto):
         pos = r + 1
-        out.append(Certificate(r, pos, x.bit_at(pos), E.row(r).bit_at(pos)))
+        left, right = x.bit_at(pos), E.row(r).bit_at(pos)
+        if left == right:
+            raise RuntimeError(f"diagonal complement agrees with row {r} at position {pos}")
+        out.append(Certificate(r, pos, left, right))
     return out
 
 

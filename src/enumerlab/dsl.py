@@ -39,7 +39,7 @@ from itertools import accumulate, compress
 
 from . import bitseq
 from .bitseq import BitSeq, Enumeration
-from .record import Record
+from .record import Record, _repr_or_hex
 
 __all__ = [
     "Ast",
@@ -320,7 +320,8 @@ def _spell(a: Ast) -> tuple:
 
 def _spell_repr(a: Ast) -> tuple:
     kids = a._children
-    closing = f"{',' * (len(kids) == 1)}), value={a._value!r}, span={a._span!r})"
+    value = _repr_or_hex(a._value)
+    closing = f"{',' * (len(kids) == 1)}), value={value}, span={a._span!r})"
     return f"{type(a).__qualname__}(kind={a._kind!r}, children=(", kids, ", ", closing
 
 

@@ -17,7 +17,7 @@ from functools import partial
 from typing import Iterator, NamedTuple
 
 from .budget import check_budget
-from .record import Record
+from .record import Record, _repr_or_hex
 
 __all__ = [
     "GridPair",
@@ -38,6 +38,9 @@ class GridPair(NamedTuple):
 
     m: int
     n: int
+
+    def __repr__(self) -> str:
+        return f"GridPair(m={_repr_or_hex(self.m)}, n={_repr_or_hex(self.n)})"
 
 
 # a GridPair from an (m, n) tuple, built in C without the Python-level

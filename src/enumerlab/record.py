@@ -5,12 +5,23 @@ underscore; its __init__ checks its arguments and writes each slot once.
 Each field reads through a property of the name without the underscore,
 which has no setter, and no other attribute can be added.  Records of one
 class with equal fields are equal and hash alike, and a record shows and
-pickles as a call of its class on its fields.
+pickles as a call of its class on its fields; an int field too long for
+decimal shows in hex.
 """
 
 from __future__ import annotations
 
 from operator import attrgetter
+
+
+def _repr_or_hex(v) -> str:
+    """repr(v), but an int with more decimal digits than the interpreter
+    converts (sys.get_int_max_str_digits()) in hex, which reads back as the
+    same int."""
+    try:
+        return repr(v)
+    except ValueError:
+        return hex(v)
 
 
 class Record:
@@ -33,7 +44,9 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{s[1:]}={v!r}" for s, v in zip(self.__slots__, self._fields()))
+        fields = ", ".join(
+            f"{s[1:]}={_repr_or_hex(v)}" for s, v in zip(self.__slots__, self._fields())
+        )
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):

@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -388,6 +389,21 @@ def test_c8_holds_its_rows_and_one_width():
 _UNDECIDED = "prefixes agree to the tested depth; disjointness not decidable at this depth"
 
 
+def _swap_walk_positions(real, a, b):
+    """The pairing module as the audit reads it, with walk positions a and b
+    swapped in both zigzag_decode and zigzag_encode, so that each still
+    inverts the other; the literal walk is left as it is."""
+    def moved(i):
+        return {a: b, b: a}.get(i, i)
+
+    decode, encode = real.zigzag_decode, real.zigzag_encode
+    return SimpleNamespace(**{
+        **vars(real),
+        "zigzag_decode": lambda i: decode(moved(i)),
+        "zigzag_encode": lambda p: moved(encode(p)),
+    })
+
+
 @pytest.mark.parametrize(
     "claim_id, module, name, mutate, depth, status, witness",
     [
@@ -399,6 +415,9 @@ _UNDECIDED = "prefixes agree to the tested depth; disjointness not decidable at 
         ("C2", pairing, "zigzag_walk",
          lambda real: lambda: (pairing.GridPair(n, m) for m, n in real()),
          10, REFUTED, {"index": 1, "walk_pair": [0, 1]}),
+        # decode and encode agree with each other, not with the walk, past index 1000
+        ("C2", audit, "pairing", lambda real: _swap_walk_positions(real, 1100, 1200),
+         1300, REFUTED, {"index": 1100, "walk_pair": [19, 27]}),
         ("C4", tree, "node_count", lambda real: lambda i: real(i) + (i == 5),
          8, REFUTED, {"depth": 5, "sum": 62, "node_count": 63}),
         # the all-ones path of length 3 ends one node short
@@ -421,12 +440,17 @@ _UNDECIDED = "prefixes agree to the tested depth; disjointness not decidable at 
         ("C10", pairing, "row_label", lambda real: lambda i: real(i) + (i == 4),
          8, REFUTED, {"row": 4, "closed_form": 11, "walk": 10}),
     ],
-    ids=["C2-encode", "C2-walk", "C4", "C5", "C6", "C7", "C9-diagonal", "C10"],
+    ids=["C2-encode", "C2-walk", "C2-swap", "C4", "C5", "C6", "C7", "C9-diagonal", "C10"],
 )
 def test_mutation_witness(monkeypatch, claim_id, module, name, mutate, depth, status, witness):
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     r = run_claim(claim_id, depth)
     assert (r.status, r.witnesses) == (status, [witness])
+
+
+def test_c2_swap_past_the_depth_verifies(monkeypatch):
+    monkeypatch.setattr(audit, "pairing", _swap_walk_positions(pairing, 1100, 1200))
+    assert run_claim("C2", 1000).status == VERIFIED
 
 
 def test_c9_witness_failing_revalidation_is_internal_error(capsys, monkeypatch):

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from dsl_corpus import corpus_asts
 from enumerlab import audit, cli, diagonal, dsl
+from enumerlab.bitseq import zeros
 from enumerlab.cli import dispatch
 
 
@@ -99,6 +100,29 @@ def test_diag_cert_json(capsys):
         {"row": 1, "position": 2, "left_bit": 1, "right_bit": 0},
         {"row": 2, "position": 3, "left_bit": 1, "right_bit": 0},
     ]
+
+
+def test_diag_cert_markdown(capsys):
+    code, out, _ = run(capsys, "diag", "cert", "figure5", "--rows", "3", "--format", "markdown")
+    assert code == 0
+    assert out.splitlines() == [
+        "row 0: position 1, complement bit 1, row bit 0",
+        "row 1: position 2, complement bit 1, row bit 0",
+        "row 2: position 3, complement bit 1, row bit 0",
+    ]
+
+
+@pytest.mark.parametrize(
+    "command,message",
+    [
+        ("diag apply figure5 --program-file prog.txt",
+         "give a program either inline or via --program-file, not both"),
+        ("diag cert", "a program is required (inline or --program-file)"),
+    ],
+)
+def test_program_source_usage_errors(capsys, command, message):
+    code, out, err = run(capsys, *command.split())
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
 
 
 def test_diag_program_file(capsys, tmp_path):
@@ -312,6 +336,18 @@ def test_diag_cert_revalidation_fault(capsys, monkeypatch):
         "internal error: RuntimeError: certificate failed revalidation: "
     )
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["audit --claim C6 --depth 4", "diag cert figure5 --rows 3"]
+)
+def test_complement_agreeing_with_a_row_is_internal_error(capsys, monkeypatch, command):
+    monkeypatch.setattr(diagonal, "antidiagonal", lambda E: zeros())
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (cli.EXIT_INTERNAL, "")
+    assert err == (
+        "internal error: RuntimeError: diagonal complement agrees with row 0 at position 1\n"
+    )
 
 
 def test_internal_fault_exit_code(capsys, monkeypatch):

@@ -9,6 +9,8 @@ import pytest
 from enumerlab.audit import VERIFIED, ClaimReport
 from enumerlab.diagonal import Certificate
 from enumerlab.dsl import Ast, Span, parse
+from enumerlab.pairing import GridPair, NodeAddr, node_to_pair
+from enumerlab.tree import path_to_addr
 
 RECORDS = [
     (Span(2, 3, 4), "Span(line=2, column=3, length=4)"),
@@ -55,3 +57,15 @@ def test_ast_equality_and_hash_ignore_spans():
     assert a == b and hash(a) == hash(b)
     assert a != parse("insert(figure5,4,ones)") != parse("insert(figure5,3,zeros)")
     assert Ast("periodic", value="1") != Ast("periodic", value=1)
+
+
+def test_long_int_fields_show_in_hex():
+    # past the interpreter's decimal conversion limit an int shows in hex,
+    # which reads back as the same int
+    addr = path_to_addr("1" * 20000)
+    assert eval(repr(addr), {"NodeAddr": NodeAddr}) == addr
+    assert repr(addr).startswith("NodeAddr(level=20000, offset=0x")
+    pair = node_to_pair(addr)
+    assert eval(repr(pair), {"GridPair": GridPair}) == pair
+    ast = Ast("natrow", (), 10**5000)
+    assert eval(repr(ast), {"Ast": Ast, "Span": Span}) == ast
