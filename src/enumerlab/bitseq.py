@@ -88,7 +88,7 @@ def _bits_to_int(bits: str) -> int:
 class _Node:
     """Operator `_op` with literal `_lit` and child nodes `_kids`.  A leaf
     built from a user rule has operator "rule" and literal (rule,
-    description)."""
+    description), and for a sequence its eventually_zero_bound third."""
 
     __slots__ = ("_op", "_lit", "_kids")
 
@@ -104,11 +104,12 @@ class BitSeq(_Node):
     """An infinite binary sequence b_1 b_2 b_3 ...
 
     `rule` maps a 1-based position to 0 or 1 and must be deterministic and
-    total.  `eventually_zero_bound`, when set, asserts that every position
-    beyond the bound is 0 (finite support).
+    total.  `eventually_zero_bound`, when given, asserts that every position
+    beyond the bound is 0 (finite support); the property of that name is
+    derived from the node on every read, and has no setter.
     """
 
-    __slots__ = ("eventually_zero_bound", "_period")
+    __slots__ = ()
 
     def __init__(
         self,
@@ -116,8 +117,21 @@ class BitSeq(_Node):
         eventually_zero_bound: int | None = None,
         description: str = "bitseq",
     ):
-        self._op, self._lit, self._kids = "rule", (rule, description), ()
-        self.eventually_zero_bound = eventually_zero_bound
+        self._op, self._lit, self._kids = "rule", (rule, description, eventually_zero_bound), ()
+
+    @property
+    def eventually_zero_bound(self) -> int | None:
+        """0 for zeros, r.bit_length() for nat_row(r) or the bound given to a
+        rule leaf, plus the lengths of the prepend heads above it; else None."""
+        node, heads = self, 0
+        while node._op == "prepend":
+            heads += len(node._lit)
+            node = node._kids[0]
+        op, lit = node._op, node._lit
+        if op == "natrow":
+            return lit.bit_length() + heads
+        bound = 0 if op == "zeros" else lit[2] if op == "rule" else None
+        return None if bound is None else bound + heads
 
     def bit_at(self, i: int) -> int:
         return self.block(i, 1)
@@ -162,18 +176,8 @@ def _node(op: str, lit=None, kids: tuple = ()) -> _Node:
         raise ValueError(f"pattern must be a nonempty bit string, got {lit!r}")
     if op == "prepend" and set(lit) - _BITS:
         raise ValueError(f"bit string expected, got {lit!r}")
-    typ = _OPERATORS[op][0]
-    node = _new(_CLASSES[typ])
+    node = _new(_CLASSES[_OPERATORS[op][0]])
     node._op, node._lit, node._kids = op, lit, kids
-    if typ == "seq":
-        # finite support: zeros, nat_row, and a prepend onto finite support
-        below = kids[0].eventually_zero_bound if op == "prepend" else None
-        node.eventually_zero_bound = (
-            0 if op == "zeros" else lit.bit_length() if op == "natrow"
-            else None if below is None else below + len(lit)
-        )
-        if op == "periodic":  # the pattern packed once, for every read
-            node._period = _bits_to_int(lit)
     return node
 
 
@@ -215,7 +219,7 @@ def _read(node: BitSeq, start: int, n: int) -> int:
             elif op == "periodic":
                 # the period rotated to begin at bit `start`, doubled until
                 # it covers the block
-                size, period = len(node._lit), node._period
+                size, period = len(node._lit), _bits_to_int(node._lit)
                 o = (start - 1) % size
                 bits = period >> o | (period & ((1 << o) - 1)) << (size - o)
                 while size < n:

@@ -305,7 +305,9 @@ def parse(text: str) -> Ast:
 
 
 def unparse(a: Ast) -> str:
-    """Canonical textual form; parse(unparse(a)) == a modulo spans."""
+    """Canonical textual form; parse(unparse(a)) == a modulo spans.  A
+    natrow or insert value past sys.get_int_max_str_digits() raises
+    ValueError: the parser rejects such a literal, so it has no text form."""
     return bitseq._render(a, _spell)
 
 
@@ -314,7 +316,11 @@ def _spell(a: Ast) -> tuple:
     if op is None:
         raise ValueError(f"unknown node kind {a.kind!r}")
     children = iter(a.children)
-    args = [next(children) if arg in _TYPENAME else str(a.value) for arg in op[1]]
+    try:
+        args = [next(children) if arg in _TYPENAME else str(a.value) for arg in op[1]]
+    except ValueError:  # an int past the decimal conversion limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"{a.kind!r} value has more than {limit} decimal digits") from None
     return (f"{a.kind}(", args, ",", ")") if args else (a.kind, args, "", "")
 
 

@@ -32,18 +32,16 @@ def _svg(width: int, height: int, body: list[str]) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def _line(x1, y1, x2, y2, width=1, cls="") -> str:
-    extra = f' class="{cls}"' if cls else ""
+def _line(x1, y1, x2, y2, cls, width=1) -> str:
     return (
         f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" '
-        f'stroke="black" stroke-width="{width}"{extra}/>'
+        f'stroke="black" stroke-width="{width}" class="{cls}"/>'
     )
 
 
-def _text(x, y, s, anchor="middle", cls="") -> str:
-    extra = f' class="{cls}"' if cls else ""
+def _text(x, y, s, cls, anchor="middle") -> str:
     return (
-        f'<text x="{x}" y="{y}" {FONT} text-anchor="{anchor}"{extra}>{s}</text>'
+        f'<text x="{x}" y="{y}" {FONT} text-anchor="{anchor}" class="{cls}">{s}</text>'
     )
 
 

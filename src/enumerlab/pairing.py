@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
+from itertools import count
 from typing import Iterator, NamedTuple
 
 from .budget import check_budget
@@ -96,15 +97,9 @@ def zigzag_walk() -> Iterator[GridPair]:
     anti-diagonal in the alternating direction.  Used as the brute-force
     oracle for the arithmetic in zigzag_encode/zigzag_decode.
     """
-    d = 0
-    while True:
-        if d % 2 == 0:
-            for m in range(d + 1):
-                yield GridPair(m, d - m)
-        else:
-            for n in range(d + 1):
-                yield GridPair(d - n, n)
-        d += 1
+    for d in count():
+        up, down = range(d + 1), reversed(range(d + 1))
+        yield from map(_new_pair, zip(up, down) if d % 2 == 0 else zip(down, up))
 
 
 def level_pairs(k: int) -> list[GridPair]:
@@ -161,19 +156,10 @@ def row_labels_by_walk(n_rows: int) -> list[int]:
     """
     labels = [-1] * n_rows
     pos = 0
-    d = 0
-    while d < n_rows:
-        if d % 2 == 0:
-            # even diagonal starts at (0, d)
-            for m in range(d + 1):
-                if m == 0:
-                    labels[d] = pos
-                pos += 1
-        else:
-            # odd diagonal ends at (0, d)
-            for t in range(d + 1):
-                if t == d:
-                    labels[d] = pos
-                pos += 1
-        d += 1
+    for d in range(n_rows):
+        hit = 0 if d % 2 == 0 else d  # an even diagonal starts at (0, d), an odd one ends there
+        for t in range(d + 1):
+            if t == hit:
+                labels[d] = pos
+            pos += 1
     return labels

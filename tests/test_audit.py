@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -343,15 +344,27 @@ def test_c8_refutation_witness(monkeypatch, repeat, depth, witness):
     assert r.witnesses == [witness]
 
 
-def test_c8_oracle_and_rows_missing_the_same_string_verifies(monkeypatch):
+def test_c8_oracle_and_rows_missing_the_same_string_is_refuted(monkeypatch):
     # row 5 repeats row 3 and the enumeration leaves out the string both
-    # miss: the 8 rows list the 7 enumerated strings, as C8 compares them
+    # miss: the 8 rows show the 7 enumerated strings, one of them twice
     real_row, real_paths = bitseq.nat_row, tree.paths_at_depth
     monkeypatch.setattr(bitseq, "nat_row", lambda r: real_row(3 if r == 5 else r))
     monkeypatch.setattr(
         tree, "paths_at_depth", lambda i: (p for p in real_paths(i) if p != "101")
     )
-    assert (run_claim("C8", 3).status, run_claim("C8", 4).status) == (VERIFIED, REFUTED)
+    r = run_claim("C8", 3)
+    assert (r.status, r.witnesses) == (REFUTED, [{"width": 3, "size": 7, "missing": []}])
+
+
+def test_c4_counts_every_enumerated_level(monkeypatch):
+    # one path of level 14 left out: C4 enumerates every level up to the depth
+    real = tree.paths_at_depth
+    monkeypatch.setattr(
+        tree, "paths_at_depth", lambda i: islice(real(i), 1, None) if i == 14 else real(i)
+    )
+    r = run_claim("C4", 14)
+    witness = {"depth": 14, "sum": (1 << 15) - 3, "node_count": (1 << 15) - 2}
+    assert (r.status, r.witnesses) == (REFUTED, [witness])
 
 
 def test_c8_checks_its_budget_before_reading_a_row(monkeypatch):

@@ -127,6 +127,18 @@ def test_support_hint_respected_by_prepend():
         assert s.bit_at(i) == 0
 
 
+def test_rule_bound_carried_through_prepend():
+    s = BitSeq(lambda i: int(i == 5), eventually_zero_bound=5)
+    assert prepend("1", s).eventually_zero_bound == 6
+
+
+def test_support_bound_is_read_only():
+    s = nat_row(5)
+    with pytest.raises(AttributeError):
+        s.eventually_zero_bound = 7
+    assert s.eventually_zero_bound == 3
+
+
 def test_bad_patterns_rejected():
     with pytest.raises(ValueError):
         periodic("")
