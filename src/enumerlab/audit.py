@@ -22,13 +22,8 @@ Claim ids:
 
 C1 and C8 hold one tree level at a time and drop it before reading the
 next; C3 holds one int key per node of every level; C4 holds a count:
-  C1  reads each level's image from pairing.level_pairs and checks it lists
-      2^k pairs whose set has 2^k members; equal pairs have equal sums
-      m + n, so of the earlier levels it keeps only a map from each sum to
-      the levels that had it, and reads a level again, to test that it
-      shares no pair with this one, only when it shares one of its sums;
-      its witness comes from one more scan of the refuted level and of the
-      earlier levels that share its sums, in (level, offset) order
+  C1  reads each level k once from pairing.level_pairs and checks that its
+      2^k pairs are distinct and all lie on the anti-diagonal of sum 2^k - 1
   C3  keys the ending of every enumerated path (through tree.path_to_addr)
       by its heap index 2^k + j in one set over all lengths, which must be
       2..2^(depth+1)-1; witnesses are the 8 smallest missing and extra keys
@@ -39,6 +34,9 @@ next; C3 holds one int key per node of every level; C4 holds a count:
       enumerated paths of length i read as ints, and only 2^i rows that
       leave none of 2^i keys, and so list each once, verify; the set of
       the rows' keys is built only on the way to a refutation
+
+C5 checks a budget of depth(depth+1)/2 items, the bits of its all-ones
+paths, and C7 one of depth^2 items, the row pairs it compares.
 """
 
 from __future__ import annotations
@@ -107,40 +105,34 @@ def _battery() -> list[bitseq.Enumeration]:
 
 def _claim_c1(depth: int) -> tuple[str, list]:
     check_budget((1 << (depth + 1)) - 1)
-    # equal pairs have equal sums m + n: of the earlier levels only their
-    # sums are kept, and a level that shares one is read again
-    levels_by_sum: dict[int, list[int]] = {}
+    # pairs on anti-diagonals of different sums differ, so levels whose pairs
+    # all lie on their own anti-diagonal share no pair
     for k in range(depth + 1):
-        level = pairing.level_pairs(k)
-        if len(level) != 1 << k:
-            raise RuntimeError(f"level_pairs({k}) does not list {1 << k} pairs")
-        pairs = set(level)
-        sums = set(map(sum, level))
-        del level
-        shared = sorted({j for s in sums for j in levels_by_sum.get(s, ())})
-        repeats = len(pairs) != 1 << k or not all(
-            map(pairs.isdisjoint, map(pairing.level_pairs, shared))
-        )
-        del pairs
-        if repeats:
-            return REFUTED, [_c1_first_collision(k, shared)]
-        for s in sums:
-            levels_by_sum.setdefault(s, []).append(k)
+        witness = _c1_level(k)
+        if witness is not None:
+            return REFUTED, [witness]
     return VERIFIED, []
 
 
-def _c1_first_collision(last: int, earlier: list[int]) -> dict:
-    """The first pair hit twice, scanning nodes in (k, j) order up to level
-    `last`, with the node that hit it first.  The levels below `last`
-    repeat no pair, so the second hit is on level `last`, and the first on
-    that level or on one of the `earlier` levels, those that share a sum
-    with it."""
-    first = {p: (k, j) for k in earlier for j, p in enumerate(pairing.level_pairs(k))}
-    for j, p in enumerate(pairing.level_pairs(last)):
-        if p in first:
-            return {"pair": [p.m, p.n], "node_a": list(first[p]), "node_b": [last, j]}
-        first[p] = (last, j)
-    raise RuntimeError(f"level_pairs({last}) does not list {1 << last} pairs")
+def _c1_level(k: int) -> dict | None:
+    """The refutation at level k, or None when its 2^k pairs are distinct and
+    all lie on the anti-diagonal of sum 2^k - 1.  The witness is the first
+    node, in offset order, off that anti-diagonal or on a pair an earlier
+    node had.  The level is freed on return, before the next one is read."""
+    level = pairing.level_pairs(k)
+    size = 1 << k
+    if len(level) != size:
+        raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
+    if set(map(sum, level)) == {size - 1} and len(set(level)) == size:
+        return None
+    first: dict[pairing.GridPair, int] = {}
+    for j, p in enumerate(level):
+        if sum(p) != size - 1:
+            return {"node": [k, j], "pair": [p.m, p.n], "sum": sum(p)}
+        i = first.setdefault(p, j)
+        if i != j:
+            return {"pair": [p.m, p.n], "node_a": [k, i], "node_b": [k, j]}
+    raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
 
 
 def _claim_c2(depth: int) -> tuple[str, list]:
@@ -193,6 +185,7 @@ def _claim_c5(depth: int) -> tuple[str, list]:
     # which holds only under the mirrored orientation (k, j) -> (2^k-1-j, j);
     # the verdict below is relative to that flag.  At node (k, 2^k-1), the
     # mirrored pair (0, 2^k-1) and the inclusive distance 2^k are identities.
+    check_budget(depth * (depth + 1) // 2)
     for k in range(depth + 1):
         addr = tree.path_to_addr("1" * k)
         if addr != pairing.NodeAddr(k, (1 << k) - 1):
@@ -219,10 +212,10 @@ def _claim_c6(depth: int) -> tuple[str, list]:
 
 
 def _claim_c7(depth: int) -> tuple[str, list]:
+    check_budget(depth * depth)
     even, odd = diagonal.split(listmatrix.matrix_enumeration())
-    rows = min(depth, 64)
-    for i in range(rows):
-        for j in range(rows):
+    for i in range(depth):
+        for j in range(depth):
             if bitseq.eq_prefix(even.row(i), odd.row(j), depth) is None:
                 return NOT_FINITELY_CHECKABLE, [
                     {

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import os
 
+from .record import _repr_or_hex
+
 DEFAULT_BUDGET = 1 << 24
 
 _ENV_VAR = "ENUMERLAB_BUDGET"
@@ -22,7 +24,7 @@ class BudgetError(Exception):
         self.requested = requested
         self.budget = budget
         super().__init__(
-            f"enumeration of {requested} items exceeds budget of {budget}"
+            f"enumeration of {_repr_or_hex(requested)} items exceeds budget of {budget}"
         )
 
 

@@ -79,6 +79,13 @@ def test_c6_battery_size():
     assert all(w["certificates"] == 25 for w in r.witnesses)
 
 
+def test_c5_checks_its_budget(monkeypatch):
+    # the all-ones paths of lengths 1..100 hold 5050 bits
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "4096")
+    with pytest.raises(BudgetError, match=r"^enumeration of 5050 items exceeds budget of 4096$"):
+        run_claim("C5", 100)
+
+
 def test_c8_coverage():
     assert run_claim("C8", 12).status == VERIFIED
 
@@ -122,15 +129,17 @@ def test_budget_error_propagates_from_run_claim():
 
 def test_run_all_never_aborts(monkeypatch):
     # keep the budget small so over-budget claims fail fast instead of
-    # enumerating millions of items first
+    # enumerating millions of items first; at depth 14300 C1's request has
+    # more decimal digits than Python converts
     monkeypatch.setenv("ENUMERLAB_BUDGET", "4096")
-    reports = run_all(60)
-    assert len(reports) == 10
-    by_id = {r.claim_id: r for r in reports}
-    assert by_id["C1"].status == NOT_FINITELY_CHECKABLE
-    assert "error" in by_id["C1"].witnesses[0]
-    # cheap closed-form claims still run at this depth
-    assert by_id["C5"].status == VERIFIED
+    for depth, c5 in ((60, VERIFIED), (14300, NOT_FINITELY_CHECKABLE)):
+        reports = run_all(depth)
+        assert len(reports) == 10
+        by_id = {r.claim_id: r for r in reports}
+        assert by_id["C1"].status == NOT_FINITELY_CHECKABLE
+        assert "error" in by_id["C1"].witnesses[0]
+        # cheap claims still run at depth 60
+        assert by_id["C5"].status == c5
 
 
 def test_run_all_propagates_internal_fault(monkeypatch):
@@ -192,14 +201,14 @@ def test_elapsed_ns_and_ms():
         (
             {(3, 5): (3, 2)},
             {"pair": [2, 5], "node_a": [3, 2], "node_b": [3, 5]},
-            [0, 1, 2, 3, 3],
+            [0, 1, 2, 3],
         ),
-        # a node of level 4 projects onto a pair of level 2, the one earlier
-        # level that shares a sum with it and is read again
+        # a node of level 4 projects onto a pair of level 2, off the
+        # anti-diagonal of level 4; no earlier level is read again
         (
             {(4, 0): (2, 1)},
-            {"pair": [1, 2], "node_a": [2, 1], "node_b": [4, 0]},
-            [0, 1, 2, 3, 4, 2, 2, 4],
+            {"node": [4, 0], "pair": [1, 2], "sum": 3},
+            [0, 1, 2, 3, 4],
         ),
     ],
     ids=["same-level", "across-levels"],
@@ -223,9 +232,9 @@ def test_c1_refutation_witness(monkeypatch, moves, witness, read):
     assert levels_read == read
 
 
-def test_c1_shared_sum_is_not_a_collision(monkeypatch):
-    # (-1, 4) has the sum 3 of level 2 but is none of its pairs: level 2 is
-    # read again, found disjoint from level 3, and the claim holds
+def test_c1_pair_off_its_anti_diagonal_is_refuted(monkeypatch):
+    # (-1, 4) has the sum 3 of level 2 but is none of its pairs: it lies off
+    # the anti-diagonal of level 3, and so refutes the claim
     real = pairing.level_pairs
     read = []
 
@@ -238,8 +247,20 @@ def test_c1_shared_sum_is_not_a_collision(monkeypatch):
 
     monkeypatch.setattr(pairing, "level_pairs", level_pairs)
     r = run_claim("C1", 6)
-    assert (r.status, r.witnesses) == (VERIFIED, [])
-    assert read == [0, 1, 2, 3, 2, 4, 5, 6]
+    assert (r.status, r.witnesses) == (REFUTED, [{"node": [3, 5], "pair": [-1, 4], "sum": 3}])
+    assert read == [0, 1, 2, 3]
+
+
+def test_c1_levels_on_the_sums_2_to_the_k_are_refuted(monkeypatch):
+    # every level injective and disjoint from the others, but level k on the
+    # anti-diagonal of sum 2^k rather than 2^k - 1
+    monkeypatch.setattr(
+        pairing,
+        "level_pairs",
+        lambda k: [pairing.GridPair(j, (1 << k) - j) for j in range(1 << k)],
+    )
+    r = run_claim("C1", 6)
+    assert (r.status, r.witnesses) == (REFUTED, [{"node": [0, 0], "pair": [0, 1], "sum": 1}])
 
 
 @pytest.mark.parametrize(
@@ -446,6 +467,12 @@ def _swap_walk_positions(real, a, b):
          if (a.description, b.description) == ("nat_row(4)", "nat_row(7)") else real(a, b, n),
          6, NOT_FINITELY_CHECKABLE,
          {"even_row": 2, "odd_row": 3, "prefix_depth": 6, "note": _UNDECIDED}),
+        # even row 64, past the first 64 rows of either half, and odd row 0
+        ("C7", bitseq, "eq_prefix",
+         lambda real: lambda a, b, n: None
+         if (a.description, b.description) == ("nat_row(128)", "nat_row(1)") else real(a, b, n),
+         70, NOT_FINITELY_CHECKABLE,
+         {"even_row": 64, "odd_row": 0, "prefix_depth": 70, "note": _UNDECIDED}),
         # the diagonal complement reads as differing from all-ones
         ("C9", bitseq, "eq_prefix", lambda real: lambda a, b, n: 1,
          6, NOT_FINITELY_CHECKABLE,
@@ -453,7 +480,10 @@ def _swap_walk_positions(real, a, b):
         ("C10", pairing, "row_label", lambda real: lambda i: real(i) + (i == 4),
          8, REFUTED, {"row": 4, "closed_form": 11, "walk": 10}),
     ],
-    ids=["C2-encode", "C2-walk", "C2-swap", "C4", "C5", "C6", "C7", "C9-diagonal", "C10"],
+    ids=[
+        "C2-encode", "C2-walk", "C2-swap", "C4", "C5", "C6", "C7", "C7-past-64",
+        "C9-diagonal", "C10",
+    ],
 )
 def test_mutation_witness(monkeypatch, claim_id, module, name, mutate, depth, status, witness):
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))

@@ -197,6 +197,17 @@ def test_budget_error_exit_code(capsys):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "command", ["audit --depth 14300 --claim C1", "tree paths 14300", "pair level 14300"]
+)
+def test_request_past_the_decimal_limit_is_budget_error(capsys, command):
+    # the count of 2^14300 items or more has more decimal digits than Python
+    # converts, so it prints in hex
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (cli.EXIT_BUDGET, "")
+    assert re.fullmatch(r"budget error: enumeration of 0x[0-9a-f]+ items exceeds budget of \d+\n", err)
+
+
 def test_env_budget_override(capsys, monkeypatch):
     monkeypatch.setenv("ENUMERLAB_BUDGET", "4")
     assert run(capsys, "tree", "paths", "3")[0] == 3

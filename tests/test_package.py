@@ -125,6 +125,16 @@ def test_claim_choices_are_the_catalog():
     assert tuple(claim["choices"]) == audit.CLAIM_IDS
 
 
+def test_no_source_check_relies_on_assert():
+    # python -O strips assert statements, and with them any check they make
+    files = sorted(Path(enumerlab.__file__).parent.glob("*.py"))
+    assert files
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
 def test_every_source_file_parses_as_python_3_10():
     # the oldest grammar pyproject.toml allows; API use needs a 3.10 interpreter to check
     root = Path(SRC).parent
