@@ -20,31 +20,40 @@ Claim ids:
   C9  the matrix lists every infinite path -- REFUTED: rows have finite support
   C10 closed-form row labels match the step-by-step walk count
 
-C1 and C8 hold one tree level at a time and drop it before reading the
-next; C3 holds one int key per node of every level; C4 holds a count:
-  C1  reads each level k once from pairing.level_pairs and checks that its
-      2^k pairs are distinct and all lie on the anti-diagonal of sum 2^k - 1
-  C3  keys the ending of every enumerated path (through tree.path_to_addr)
-      by its heap index 2^k + j in one set over all lengths, which must be
-      2..2^(depth+1)-1; witnesses are the 8 smallest missing and extra keys
+C1, C3 and C8 hold their state in flat memory, int arrays and byte flags
+filled by map pipelines that run in C, never one Python object per node;
+C4 holds a count:
+  C1  reads each level k once from pairing.level_pairs into one int array,
+      m and n interleaved, and frees it before reading the next; the level
+      verifies when every m + n is 2^k - 1, no coordinate is negative, and
+      its m's leave none of 2^k flags unset, so its 2^k pairs are distinct
+  C3  flags the ending of every enumerated path (through tree.path_to_addr)
+      at its heap index 2^k + j in one bytearray over all lengths; indices
+      2..2^(depth+1)-1 must all be set, and any other goes to a small set;
+      witnesses are the 8 smallest missing and extra keys
   C4  checks the same budget as C3, then counts the enumerated paths of
       each level 1..i and compares their running sum with node_count(i)
   C8  checks the budget for its 2^d rows, then reads each of them once, as
-      a d-bit nat_row block; width i removes the rows' low i bits from the
-      enumerated paths of length i read as ints, and only 2^i rows that
-      leave none of 2^i keys, and so list each once, verify; the set of
-      the rows' keys is built only on the way to a refutation
+      a d-bit nat_row block, into one int array; width i verifies when the
+      enumerated paths of length i, read as ints, and the rows' low i bits
+      each set all of 2^i flags, so the rows list each key once; the sets
+      of a witness are built only on the way to a refutation
 
 C5 checks a budget of depth(depth+1)/2 items, the bits of its all-ones
-paths, and C7 one of depth^2 items, the row pairs it compares.
+paths, C6 one of 5 * depth, the certificates of its battery, and C7 one of
+depth^2 items, the row pairs it compares.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from array import array
+from collections import deque
+from contextlib import suppress
 from heapq import nsmallest
-from itertools import chain, filterfalse, islice
+from itertools import chain, filterfalse, islice, repeat
+from operator import add, and_, eq, itemgetter, setitem
 
 from . import bitseq, diagonal, listmatrix, pairing, tree
 from .budget import BudgetError, check_budget
@@ -66,6 +75,8 @@ __all__ = [
 VERIFIED = "verified"
 REFUTED = "refuted"
 NOT_FINITELY_CHECKABLE = "not_finitely_checkable"
+
+_reversed = itemgetter(slice(None, None, -1))
 
 
 class ClaimReport(Record):
@@ -115,24 +126,32 @@ def _claim_c1(depth: int) -> tuple[str, list]:
 
 
 def _c1_level(k: int) -> dict | None:
-    """The refutation at level k, or None when its 2^k pairs are distinct and
-    all lie on the anti-diagonal of sum 2^k - 1.  The witness is the first
-    node, in offset order, off that anti-diagonal or on a pair an earlier
-    node had.  The level is freed on return, before the next one is read."""
-    level = pairing.level_pairs(k)
+    """The refutation at level k, or None when its 2^k pairs, read once into
+    one int array, all lie on the anti-diagonal of sum 2^k - 1 in N x N, where
+    m < 2^k fixes the pair, and have distinct m.  The witness is the first
+    node, in offset order, off that anti-diagonal or on an earlier node's pair."""
     size = 1 << k
-    if len(level) != size:
+    flat = array("q", chain.from_iterable(pairing.level_pairs(k)))
+    if len(flat) != 2 * size:
         raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
-    if set(map(sum, level)) == {size - 1} and len(set(level)) == size:
+    ms, ns = memoryview(flat)[::2], memoryview(flat)[1::2]
+    if all(map(eq, map(add, ms, ns), repeat(size - 1))) and min(flat) >= 0 and _covers(size, ms):
         return None
-    first: dict[pairing.GridPair, int] = {}
-    for j, p in enumerate(level):
-        if sum(p) != size - 1:
-            return {"node": [k, j], "pair": [p.m, p.n], "sum": sum(p)}
-        i = first.setdefault(p, j)
+    first: dict[int, int] = {}
+    for j, (m, n) in enumerate(zip(ms, ns)):
+        if m + n != size - 1 or m < 0 or n < 0:
+            return {"node": [k, j], "pair": [m, n], "sum": m + n}
+        i = first.setdefault(m, j)
         if i != j:
-            return {"pair": [p.m, p.n], "node_a": [k, i], "node_b": [k, j]}
+            return {"pair": [m, n], "node_a": [k, i], "node_b": [k, j]}
     raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
+
+
+def _covers(size: int, keys) -> bool:
+    """Whether the keys take all `size` values, one byte flag each, in C."""
+    flags = bytearray(size)
+    deque(map(setitem, repeat(flags), keys, repeat(1)), maxlen=0)
+    return flags.find(0) < 0
 
 
 def _claim_c2(depth: int) -> tuple[str, list]:
@@ -155,13 +174,18 @@ def _claim_c3(depth: int) -> tuple[str, list]:
     check_budget((1 << (depth + 1)) - 2)
     # heap index 2^k + j: one key per node (k, j), since NodeAddr keeps j < 2^k
     paths = chain.from_iterable(map(tree.paths_at_depth, range(1, depth + 1)))
-    keys = {(1 << a.level) + a.offset for a in map(tree.path_to_addr, paths)}
     nodes = range(2, 2 << depth)
-    if len(keys) == len(nodes) and keys.issuperset(nodes):
+    seen, extra = bytearray(2 << depth), set()
+    for a in map(tree.path_to_addr, paths):
+        key = (1 << a.level) + a.offset
+        if key in nodes:
+            seen[key] = 1
+        else:
+            extra.add(key)
+    if not extra and seen.find(0, 2) < 0:
         return VERIFIED, []
-    missing = islice(filterfalse(keys.__contains__, nodes), 8)
-    extra = nsmallest(8, filterfalse(nodes.__contains__, keys))
-    return REFUTED, [{"missing": _c3_nodes(missing), "extra": _c3_nodes(extra)}]
+    missing = islice(filterfalse(seen.__getitem__, nodes), 8)
+    return REFUTED, [{"missing": _c3_nodes(missing), "extra": _c3_nodes(nsmallest(8, extra))}]
 
 
 def _c3_nodes(keys) -> list[tuple[int, int]]:
@@ -194,8 +218,10 @@ def _claim_c5(depth: int) -> tuple[str, list]:
 
 
 def _claim_c6(depth: int) -> tuple[str, list]:
+    battery = _battery()
+    check_budget(len(battery) * depth)
     checked = []
-    for E in _battery():
+    for E in battery:
         certs = diagonal.certificates(E, depth)
         x = diagonal.antidiagonal(E)
         for cert in certs:
@@ -233,7 +259,7 @@ def _claim_c8(depth: int) -> tuple[str, list]:
     check_budget(1 << depth)
     # row r's first `depth` bits, packed least-significant-bit first, so
     # its length-i prefix is the low i bits; each row is read once
-    rows: list[int] = []
+    rows = array("Q")
     for i in range(1, depth + 1):
         rows.extend(
             bitseq.nat_row(r).block(1, depth) for r in range(len(rows), 1 << i)
@@ -244,19 +270,19 @@ def _claim_c8(depth: int) -> tuple[str, list]:
     return VERIFIED, []
 
 
-def _c8_width(rows: list[int], i: int) -> dict | None:
-    """The refutation at width i, or None when the low i bits of the 2^i
-    rows cover the 2^i keys of the enumerated paths of length i, and so
-    list each of them exactly once.  The width's sets are freed on return,
-    before the next width is read."""
-    mask = (1 << i) - 1
-    missing = {int(p[::-1], 2) for p in tree.paths_at_depth(i)}
-    size = len(missing)
-    missing.difference_update(map(mask.__and__, rows))
-    if not missing and size == 1 << i:
-        return None
-    listed = set(map(mask.__and__, rows))
-    sample = sorted(format(b, f"0{i}b")[::-1] for b in missing)[:8]
+def _c8_width(rows: array, i: int) -> dict | None:
+    """The refutation at width i, or None when the keys of the enumerated
+    paths of length i, bit strings read as ints, and the low i bits of the
+    2^i rows each take all 2^i values: then the rows list each key exactly
+    once.  Sets are built only on the way to a refutation."""
+    size = 1 << i
+    with suppress(IndexError):  # a key past 2^i, which no row lists
+        keys = map(int, map(_reversed, tree.paths_at_depth(i)), repeat(2))
+        if _covers(size, keys) and _covers(size, map(and_, rows, repeat(size - 1))):
+            return None
+    missing = set(map(int, map(_reversed, tree.paths_at_depth(i)), repeat(2)))
+    listed = set(map(and_, rows, repeat(size - 1)))
+    sample = sorted(format(b, f"0{i}b")[::-1] for b in missing - listed)[:8]
     return {"width": i, "size": len(listed), "missing": sample}
 
 

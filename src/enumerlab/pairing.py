@@ -102,17 +102,18 @@ def zigzag_walk() -> Iterator[GridPair]:
         yield from map(_new_pair, zip(up, down) if d % 2 == 0 else zip(down, up))
 
 
-def level_pairs(k: int) -> list[GridPair]:
-    """The grid pairs of tree level k, in offset order.
+def level_pairs(k: int) -> Iterator[GridPair]:
+    """The grid pairs of tree level k, in offset order, as a lazy iterator.
 
-    Exactly [(0, 2^k - 1), (1, 2^k - 2), ..., (2^k - 1, 0)]; every pair has
-    coordinate sum 2^k - 1.
+    Exactly (0, 2^k - 1), (1, 2^k - 2), ..., (2^k - 1, 0); every pair has
+    coordinate sum 2^k - 1.  The budget is checked eagerly, at the call; the
+    pairs are made one at a time as they are read, so no level is held.
     """
     if k < 0:
         raise ValueError(f"level must be >= 0, got {k}")
     size = 1 << k
     check_budget(size)
-    return list(map(_new_pair, zip(range(size), reversed(range(size)))))
+    return map(_new_pair, zip(range(size), reversed(range(size))))
 
 
 def node_to_pair(a: NodeAddr) -> GridPair:

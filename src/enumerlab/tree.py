@@ -9,6 +9,7 @@ as linked nodes: all structure is index arithmetic.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product, starmap
 from typing import Iterator
 
@@ -25,6 +26,9 @@ __all__ = [
     "node_count",
 ]
 
+# a NodeAddr made without __init__, bound once for the reason of pairing._new_pair
+_new_addr = partial(object.__new__, NodeAddr)
+
 
 def children(a: NodeAddr) -> tuple[NodeAddr, NodeAddr]:
     """The 0-branch and 1-branch children of a node."""
@@ -36,8 +40,9 @@ def path_to_addr(p: str) -> NodeAddr:
     """Endpoint of a finite root path; the empty path ends at the root."""
     if p.strip("01"):
         raise ValueError(f"bit string expected, got {p!r}")
-    offset = int(p, 2) if p else 0
-    return NodeAddr(len(p), offset)
+    a = _new_addr()  # 0 <= int(p, 2) < 2^len(p): what __init__ would check
+    a._level, a._offset = len(p), int(p, 2) if p else 0
+    return a
 
 
 def addr_to_path(a: NodeAddr) -> str:

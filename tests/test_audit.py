@@ -1,7 +1,8 @@
 import json
 import re
 import tracemalloc
-from itertools import islice
+from array import array
+from itertools import chain, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -84,6 +85,16 @@ def test_c5_checks_its_budget(monkeypatch):
     monkeypatch.setenv("ENUMERLAB_BUDGET", "4096")
     with pytest.raises(BudgetError, match=r"^enumeration of 5050 items exceeds budget of 4096$"):
         run_claim("C5", 100)
+
+
+def test_c6_checks_its_budget(monkeypatch):
+    # five enumerations of 1000 certificates each
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "4096")
+    with pytest.raises(BudgetError, match=r"^enumeration of 5000 items exceeds budget of 4096$"):
+        run_claim("C6", 1000)
+    c6 = run_all(14300)[CLAIM_IDS.index("C6")]
+    assert c6.status == NOT_FINITELY_CHECKABLE
+    assert "error" in c6.witnesses[0]
 
 
 def test_c8_coverage():
@@ -219,10 +230,10 @@ def test_c1_refutation_witness(monkeypatch, moves, witness, read):
 
     def level_pairs(k):
         levels_read.append(k)
-        pairs = real(k)
+        pairs = list(real(k))
         for (level, j), (to_level, to_j) in moves.items():
             if level == k:
-                pairs[j] = real(to_level)[to_j]
+                pairs[j] = list(real(to_level))[to_j]
         return pairs
 
     monkeypatch.setattr(pairing, "level_pairs", level_pairs)
@@ -240,7 +251,7 @@ def test_c1_pair_off_its_anti_diagonal_is_refuted(monkeypatch):
 
     def level_pairs(k):
         read.append(k)
-        pairs = real(k)
+        pairs = list(real(k))
         if k == 3:
             pairs[5] = pairing.GridPair(-1, 4)
         return pairs
@@ -249,6 +260,18 @@ def test_c1_pair_off_its_anti_diagonal_is_refuted(monkeypatch):
     r = run_claim("C1", 6)
     assert (r.status, r.witnesses) == (REFUTED, [{"node": [3, 5], "pair": [-1, 4], "sum": 3}])
     assert read == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("pair", [(-1, 4), (4, -1)], ids=["negative-m", "negative-n"])
+def test_c1_pair_off_the_grid_is_refuted(monkeypatch, pair):
+    # a pair with the sum 3 of level 2 that is no point of N x N, in place of
+    # the one pair of level 2 it does not repeat
+    real = pairing.level_pairs
+    monkeypatch.setattr(
+        pairing, "level_pairs", lambda k: list(real(k))[:3] + [pair] if k == 2 else real(k)
+    )
+    r = run_claim("C1", 4)
+    assert (r.status, r.witnesses) == (REFUTED, [{"node": [2, 3], "pair": list(pair), "sum": 3}])
 
 
 def test_c1_levels_on_the_sums_2_to_the_k_are_refuted(monkeypatch):
@@ -271,7 +294,7 @@ def test_c1_levels_on_the_sums_2_to_the_k_are_refuted(monkeypatch):
 def test_c1_level_of_wrong_length_is_internal_error(capsys, monkeypatch, change):
     real = pairing.level_pairs
     monkeypatch.setattr(
-        pairing, "level_pairs", lambda k: change(real(k)) if k == 3 else real(k)
+        pairing, "level_pairs", lambda k: change(list(real(k))) if k == 3 else real(k)
     )
     with pytest.raises(RuntimeError, match=r"^level_pairs\(3\) does not list 8 pairs$"):
         run_claim("C1", 6)
@@ -317,10 +340,12 @@ def test_enumerated_paths_are_the_oracle(monkeypatch, claim_id):
         ),
         # an ending moves below the examined depth
         ({"111": (6, 0)}, 5, REFUTED, [{"missing": [(3, 7)], "extra": [(6, 0)]}]),
+        # an ending moves onto the root, which no path of length >= 1 ends at
+        ({"111": (0, 0)}, 5, REFUTED, [{"missing": [(3, 7)], "extra": [(0, 0)]}]),
         # two endings swap levels: every level is wrong, their union is not
         ({"00": (3, 0), "000": (2, 0)}, 5, VERIFIED, []),
     ],
-    ids=["one-moved", "16-missing", "extra", "levels-swapped"],
+    ids=["one-moved", "16-missing", "extra", "root", "levels-swapped"],
 )
 def test_c3_mutated_endings(monkeypatch, moves, depth, status, witnesses):
     real = tree.path_to_addr
@@ -332,6 +357,16 @@ def test_c3_mutated_endings(monkeypatch, moves, depth, status, witnesses):
     r = run_claim("C3", depth)
     assert r.status == status
     assert r.witnesses == witnesses
+
+
+def test_c3_ending_past_every_node_is_refuted(monkeypatch):
+    # every node of depth 3 is an ending, and one more path ends below them
+    real = tree.paths_at_depth
+    monkeypatch.setattr(
+        tree, "paths_at_depth", lambda i: chain(real(i), ["1111"]) if i == 3 else real(i)
+    )
+    r = run_claim("C3", 3)
+    assert (r.status, r.witnesses) == (REFUTED, [{"missing": [], "extra": [(4, 15)]}])
 
 
 @pytest.mark.parametrize(
@@ -377,6 +412,19 @@ def test_c8_oracle_and_rows_missing_the_same_string_is_refuted(monkeypatch):
     assert (r.status, r.witnesses) == (REFUTED, [{"width": 3, "size": 7, "missing": []}])
 
 
+def test_c8_path_past_its_width_is_refuted(monkeypatch):
+    # the enumeration lists 1011, whose key 13 lies past the 8 strings of
+    # width 3, in place of 101
+    real = tree.paths_at_depth
+    monkeypatch.setattr(
+        tree,
+        "paths_at_depth",
+        lambda i: (p.replace("101", "1011") for p in real(i)) if i == 3 else real(i),
+    )
+    r = run_claim("C8", 4)
+    assert (r.status, r.witnesses) == (REFUTED, [{"width": 3, "size": 8, "missing": ["1011"]}])
+
+
 def test_c4_counts_every_enumerated_level(monkeypatch):
     # one path of level 14 left out: C4 enumerates every level up to the depth
     real = tree.paths_at_depth
@@ -409,15 +457,27 @@ def _traced_peak(fn) -> int:
 
 
 def test_c1_holds_one_level_at_a_time():
-    # the one structure C1 must hold: the largest level's pairs and their set
-    level = _traced_peak(lambda: set(pairing.level_pairs(14)))
+    # the one structure C1 must hold: the largest level as 2 * 2^14 ints in
+    # one array, and one flag per pair
+    level = _traced_peak(lambda: (array("q", [0]) * (2 << 14), bytearray(1 << 14)))
     assert _traced_peak(lambda: run_claim("C1", 14)) <= 1.25 * level
 
 
 def test_c8_holds_its_rows_and_one_width():
-    # what C8 must hold at once: 2^14 row ints and the keys of the widest width
-    held = _traced_peak(lambda: (list(range(1 << 14)), set(range(1 << 14))))
+    # what C8 must hold at once: 2^14 row ints and the flags of the widest width
+    held = _traced_peak(lambda: (array("Q", [0]) * (1 << 14), bytearray(1 << 14)))
     assert _traced_peak(lambda: run_claim("C8", 14)) <= 1.25 * held
+
+
+# the two lists of path halves paths_at_depth(14) builds (about 17 KB) and
+# the small objects of the loop, measured at 20 KB over the flags
+_C3_ALLOWANCE = 24 * 1024
+
+
+def test_c3_holds_flags_not_keys():
+    # one flag per heap index 0..2^15-1, and no key of an examined node
+    flags = _traced_peak(lambda: bytearray(2 << 14))
+    assert _traced_peak(lambda: run_claim("C3", 14)) <= 1.25 * flags + _C3_ALLOWANCE
 
 
 _UNDECIDED = "prefixes agree to the tested depth; disjointness not decidable at this depth"

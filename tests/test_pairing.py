@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -70,9 +71,9 @@ def test_diagonal_completeness():
 
 
 def test_level_pairs_published_lists():
-    assert level_pairs(0) == [GridPair(0, 0)]
-    assert level_pairs(1) == [GridPair(0, 1), GridPair(1, 0)]
-    assert level_pairs(2) == [
+    assert list(level_pairs(0)) == [GridPair(0, 0)]
+    assert list(level_pairs(1)) == [GridPair(0, 1), GridPair(1, 0)]
+    assert list(level_pairs(2)) == [
         GridPair(0, 3),
         GridPair(1, 2),
         GridPair(2, 1),
@@ -85,14 +86,14 @@ def test_level_pairs_published_lists():
 
 def test_level_pairs_antidiagonal_sum():
     for k in range(8):
-        pairs = level_pairs(k)
+        pairs = list(level_pairs(k))
         assert len(pairs) == 2**k
         assert all(p.m + p.n == 2**k - 1 for p in pairs)
 
 
 def test_level_pairs_match_constructor_calls():
     for k in range(13):
-        pairs = level_pairs(k)
+        pairs = list(level_pairs(k))
         assert pairs == [GridPair(j, (1 << k) - 1 - j) for j in range(1 << k)]
         assert all(type(p) is GridPair for p in pairs)
 
@@ -101,15 +102,34 @@ def test_level_pairs_survive_a_wrapped_class(monkeypatch):
     # a tracer may rebind the public name to a function that calls the class
     real = GridPair
     monkeypatch.setattr(pairing, "GridPair", lambda m, n: real(m, n))
-    assert level_pairs(2) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert list(level_pairs(2)) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert all(type(p) is real for p in level_pairs(2))
+
+
+def test_level_pairs_is_lazy(monkeypatch):
+    tracemalloc.start()
+    try:
+        pairs = level_pairs(24)
+        first = next(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not isinstance(pairs, list)
+    assert iter(pairs) is pairs
+    assert first == GridPair(0, 2**24 - 1)
+    # 2^24 pairs would take about 1 GB; one pair and the iterators take bytes
+    assert peak < 4096
+    # the budget is checked at the call, before any pair is made
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "32")
+    with pytest.raises(BudgetError):
+        level_pairs(6)
 
 
 def test_level_pairs_budget(monkeypatch):
     with pytest.raises(BudgetError):
         level_pairs(30)
     monkeypatch.setenv("ENUMERLAB_BUDGET", "32")
-    assert len(level_pairs(5)) == 32
+    assert len(list(level_pairs(5))) == 32
     with pytest.raises(BudgetError):
         level_pairs(6)
 
@@ -178,7 +198,7 @@ def test_level_pairs_are_projected_nodes():
     # every pair of level k is the projection of a node of level k, and
     # pair_to_node recovers that node
     for k in range(8):
-        pairs = level_pairs(k)
+        pairs = list(level_pairs(k))
         assert pairs == [node_to_pair(NodeAddr(k, j)) for j in range(2**k)]
         for p in pairs:
             addr = pair_to_node(p)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from enumerlab import tree
+from enumerlab import pairing, tree
 from enumerlab.bitseq import nat_row, ones, zeros
 from enumerlab.budget import BudgetError
 from enumerlab.pairing import NodeAddr
@@ -52,6 +52,17 @@ def test_paths_at_depth_offset_order():
     # odd and even lengths, and length 1 with its empty low half
     for i in range(1, 15):
         assert list(paths_at_depth(i)) == [format(o, f"0{i}b") for o in range(1 << i)]
+
+
+def test_path_to_addr_survives_a_wrapped_class(monkeypatch):
+    # a tracer may rebind the public name to a function that calls the class
+    real = NodeAddr
+    monkeypatch.setattr(tree, "NodeAddr", lambda level, offset: real(level, offset))
+    monkeypatch.setattr(pairing, "NodeAddr", lambda level, offset: real(level, offset))
+    a = path_to_addr("0110")
+    assert type(a) is real and a == real(4, 6)
+    with pytest.raises(ValueError, match=r"^bit string expected, got '012'$"):
+        path_to_addr("012")
 
 
 def test_paths_at_depth_is_lazy():
