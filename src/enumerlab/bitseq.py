@@ -19,7 +19,10 @@ block is one batched walk over row ranges: each enumeration operator maps
 the range of rows the block needs, or splits it, instead of walking once
 per bit.  A BitSeq(rule) is called at exactly the positions asked for, and
 each value must be 0 or 1.  Enumeration.row walks the enumeration
-operators the same way as a single read, down to a sequence.  Nothing
+operators the same way as a single read, down to a sequence.  A run of
+spliteven/splitodd appends one bit per level to a row index; both walks
+collect the run's bits and join them to the row, or to a range's ends,
+once, so a run costs time linear in its length.  Nothing
 recurses, so there is no nesting limit; descriptions are built by walks
 too.
 
@@ -240,15 +243,14 @@ def _read(node: BitSeq, start: int, n: int) -> int:
 
 def _row(node: Enumeration, r: int) -> BitSeq:
     """Row r of `node`: one walk down the enumeration operators, each of
-    which picks one child for the row."""
+    which picks one child for the row.  A run of spliteven/splitodd appends
+    one bit to r per level; the run's bits are collected and joined to r
+    once, so a run costs time linear in its length."""
     while True:
         op = node._op
-        if op == "spliteven":
-            r *= 2
-            node = node._kids[0]
-        elif op == "splitodd":
-            r = 2 * r + 1
-            node = node._kids[0]
+        if op == "spliteven" or op == "splitodd":
+            node, k, low = _split_run(node)
+            r = r << k | low
         elif op == "interleave":
             node = node._kids[r & 1]
             r >>= 1
@@ -267,6 +269,17 @@ def _row(node: Enumeration, r: int) -> BitSeq:
             if not isinstance(row, _CLASSES["seq"]):
                 raise TypeError(f"row {r} is {type(row).__name__}, not BitSeq")
             return row
+
+
+def _split_run(node: Enumeration) -> tuple[Enumeration, int, int]:
+    """The node below the run of spliteven/splitodd operators that starts
+    at `node`, the run's length k and its bits, the top operator's most
+    significant: row r of `node` is row r << k | bits of the node below."""
+    bits = bytearray()
+    while (op := node._op) == "spliteven" or op == "splitodd":
+        bits.append(49 if op == "splitodd" else 48)
+        node = node._kids[0]
+    return node, len(bits), int(bits, 2)
 
 
 def _rule_bits(rule: Callable[[int], int], positions: range) -> bytes:
@@ -310,8 +323,9 @@ def _diagonal_block(node: BitSeq, start: int, n: int) -> int:
             elif op == "const":
                 rows = None
             elif op == "spliteven" or op == "splitodd":
-                odd = op == "splitodd"
-                rows = range(2 * rows.start + odd, 2 * rows.stop + odd, 2 * rows.step)
+                node, k, low = _split_run(node)
+                rows = range(rows.start << k | low, rows.stop << k | low, rows.step << k)
+                continue
             elif op == "interleave":
                 if rows.step & 1 and len(rows) > 1:  # parities alternate: split
                     todo.append((node, rows[1::2], pos[1::2], base, flip))

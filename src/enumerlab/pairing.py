@@ -8,6 +8,11 @@ pairs are (0,0), (1,0), (0,1), (0,2), (1,1), (2,0), (3,0).
 
 Tree level k projects onto the anti-diagonal of sum 2^k - 1: node (k, j)
 lands on the grid pair (j, 2^k - 1 - j).
+
+Every query is exact for ints of any size.  On an n-bit input, encoding and
+row_label cost one n-bit squaring, and decoding costs one isqrt and a
+squaring of half that size; parity is read from the low bit, never by
+division.
 """
 
 from __future__ import annotations
@@ -65,7 +70,9 @@ class NodeAddr(Record):
 
 
 def _triangular(d: int) -> int:
-    return d * (d + 1) // 2
+    # d * (d + 1) // 2 with one squaring: CPython squares only when both
+    # operands are the same object
+    return (d * d + d) >> 1
 
 
 def zigzag_encode(p: GridPair) -> int:
@@ -75,7 +82,7 @@ def zigzag_encode(p: GridPair) -> int:
         raise ValueError(f"grid coordinates must be >= 0, got ({m}, {n})")
     d = m + n
     t = _triangular(d)
-    return t + m if d % 2 == 0 else t + n
+    return t + n if d & 1 else t + m
 
 
 def zigzag_decode(i: int) -> GridPair:
@@ -85,9 +92,9 @@ def zigzag_decode(i: int) -> GridPair:
     # d is the largest diagonal with triangular(d) <= i
     d = (math.isqrt(8 * i + 1) - 1) // 2
     r = i - _triangular(d)
-    if d % 2 == 0:
-        return GridPair(r, d - r)
-    return GridPair(d - r, r)
+    if d & 1:
+        return GridPair(d - r, r)
+    return GridPair(r, d - r)
 
 
 def zigzag_walk() -> Iterator[GridPair]:

@@ -22,7 +22,7 @@ from enumerlab.audit import (
 )
 from enumerlab.bitseq import nat_row, ones
 from enumerlab.budget import BudgetError
-from enumerlab.listmatrix import entry
+from enumerlab.listmatrix import entry, matrix_enumeration
 
 
 def test_catalog_order():
@@ -498,6 +498,17 @@ def _swap_walk_positions(real, a, b):
     })
 
 
+def _odd_rows_read_as(real_split, rows):
+    """diagonal.split whose odd half lists nat_row(rows[j]) at each row j
+    of `rows` and the real odd row everywhere else."""
+    def split(E):
+        even, odd = real_split(E)
+        return even, bitseq.Enumeration(
+            lambda j: nat_row(rows[j]) if j in rows else odd.row(j), "mutated odd half"
+        )
+    return split
+
+
 @pytest.mark.parametrize(
     "claim_id, module, name, mutate, depth, status, witness",
     [
@@ -521,16 +532,12 @@ def _swap_walk_positions(real, a, b):
         ("C6", diagonal, "check_certificate",
          lambda real: lambda E, x, cert: cert.row != 3 and real(E, x, cert),
          6, REFUTED, {"enumeration": "constant(zeros)", "row": 3, "position": 4}),
-        # rows 4 and 7 of the matrix, even row 2 and odd row 3, compare equal
-        ("C7", bitseq, "eq_prefix",
-         lambda real: lambda a, b, n: None
-         if (a.description, b.description) == ("nat_row(4)", "nat_row(7)") else real(a, b, n),
+        # odd row 3 reads as matrix row 4, which is even row 2
+        ("C7", diagonal, "split", lambda real: _odd_rows_read_as(real, {3: 4}),
          6, NOT_FINITELY_CHECKABLE,
          {"even_row": 2, "odd_row": 3, "prefix_depth": 6, "note": _UNDECIDED}),
         # even row 64, past the first 64 rows of either half, and odd row 0
-        ("C7", bitseq, "eq_prefix",
-         lambda real: lambda a, b, n: None
-         if (a.description, b.description) == ("nat_row(128)", "nat_row(1)") else real(a, b, n),
+        ("C7", diagonal, "split", lambda real: _odd_rows_read_as(real, {0: 128}),
          70, NOT_FINITELY_CHECKABLE,
          {"even_row": 64, "odd_row": 0, "prefix_depth": 70, "note": _UNDECIDED}),
         # the diagonal complement reads as differing from all-ones
@@ -549,6 +556,54 @@ def test_mutation_witness(monkeypatch, claim_id, module, name, mutate, depth, st
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     r = run_claim(claim_id, depth)
     assert (r.status, r.witnesses) == (status, [witness])
+
+
+def _c7_by_pairs(depth):
+    """The first (even row, odd row) pair, in row-major order, whose
+    length-depth prefixes agree, found by comparing every pair."""
+    even, odd = diagonal.split(matrix_enumeration())
+    for i in range(depth):
+        for j in range(depth):
+            if bitseq.eq_prefix(even.row(i), odd.row(j), depth) is None:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize(
+    "rows, depth",
+    [
+        ({3: 4}, 6),
+        # the last odd row and the last even row read
+        ({5: 8}, 6),
+        ({5: 10}, 6),
+        # two odd rows agree with even rows; row-major order picks even row 1
+        ({5: 2, 2: 6}, 8),
+        # two odd rows share a prefix; the first of them is the witness
+        ({7: 10, 4: 10}, 12),
+        # matrix row 18 agrees with even row 1 on the first 4 bits only
+        ({1: 18}, 4),
+        ({1: 18}, 5),
+        # past the depth, no even row is read
+        ({0: 40}, 20),
+        ({0: 40}, 21),
+    ],
+)
+def test_c7_finds_the_pair_that_comparing_every_pair_finds(monkeypatch, rows, depth):
+    monkeypatch.setattr(diagonal, "split", _odd_rows_read_as(diagonal.split, rows))
+    expected = _c7_by_pairs(depth)
+    r = run_claim("C7", depth)
+    if expected is None:
+        assert (r.status, r.witnesses) == (VERIFIED, [])
+    else:
+        i, j = expected
+        assert (r.status, r.witnesses) == (NOT_FINITELY_CHECKABLE, [
+            {"even_row": i, "odd_row": j, "prefix_depth": depth, "note": _UNDECIDED}
+        ])
+
+
+def test_c7_large_depth():
+    r = run_claim("C7", 2000)
+    assert (r.status, r.witnesses) == (VERIFIED, [])
 
 
 def test_c2_swap_past_the_depth_verifies(monkeypatch):

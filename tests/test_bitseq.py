@@ -225,10 +225,14 @@ def test_antidiagonal_fallback_block(s, start, n):
         assert x.block(start, n) == per_bit_block(x, start, n)
 
 
+def mod29_row(r):
+    return periodic(format(r % 29 + 1, "b"))
+
+
 # enumerations over every enumeration operator, whose sequences may hold
 # antidiagonals of their own; a row of the user rule varies at every position
 matrix = listmatrix.matrix_enumeration()
-rule_enumeration = Enumeration(lambda r: periodic(format(r % 29 + 1, "b")), "mod29")
+rule_enumeration = Enumeration(mod29_row, "mod29")
 nested_sequences = st.deferred(
     lambda: st.one_of(
         leaves,
@@ -273,6 +277,69 @@ def test_antidiagonal_block_calls_user_rules_once_per_bit(start, n):
     s = BitSeq(lambda i: positions.append(i) or i & 1)
     diagonal.antidiagonal(diagonal.constant(s)).block(start, n)
     assert sorted(positions) == list(range(start, start + n))
+
+
+# Each enumeration below is built by library calls next to its row
+# function, worked out from the operators' definitions: spliteven's row r is
+# row 2r, splitodd's row 2r + 1, interleave's row r is row r >> 1 of child
+# r & 1, insert(E, k, s) lists s at row k and E's row r - 1 above it.  The
+# row function returns a leaf (nat_row, a periodic or a rule's row), whose
+# blocks go through neither walk under test.
+inserted = periodic("110")
+below_split_runs = {
+    "figure5": (matrix, nat_row),
+    "const": (diagonal.constant(inserted), lambda r: inserted),
+    "rule": (rule_enumeration, mod29_row),
+    "interleave": (
+        diagonal.interleave(matrix, rule_enumeration),
+        lambda r: mod29_row(r >> 1) if r & 1 else nat_row(r >> 1),
+    ),
+    "insert": (
+        diagonal.insert(matrix, 5, inserted),
+        lambda r: inserted if r == 5 else nat_row(r - (r > 5)),
+    ),
+}
+
+
+def split_run(E, row, odd_bits):
+    """spliteven/splitodd applied to E once per bit of odd_bits, the last
+    one outermost, with the row function of the result."""
+    for odd in odd_bits:
+        E = diagonal.split(E)[odd]
+        row = (lambda row, odd: lambda r: row(2 * r + odd))(row, odd)
+    return E, row
+
+
+def antidiagonal_by_definition(row, start, n):
+    """Bit i of the antidiagonal is the complement of bit i of row i - 1."""
+    return sum((1 - row(p - 1).bit_at(p)) << k for k, p in enumerate(range(start, start + n)))
+
+
+split_bits = st.lists(st.integers(0, 1), min_size=1, max_size=40)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(below_split_runs)),
+    split_bits,
+    st.one_of(st.just([]), split_bits),
+    st.integers(min_value=1, max_value=200),
+    st.integers(min_value=0, max_value=80),
+    st.integers(min_value=0, max_value=2**70),
+)
+def test_split_runs_match_the_operator_definitions(below, odd_bits, upper_bits, start, n, r):
+    E, row = split_run(*below_split_runs[below], odd_bits)
+    # an interleave between two runs takes the run below as its second child
+    if upper_bits:
+        lower = row
+        E, row = split_run(
+            diagonal.interleave(rule_enumeration, E),
+            lambda r: lower(r >> 1) if r & 1 else mod29_row(r >> 1),
+            upper_bits,
+        )
+    for k in (0, 1, r):
+        assert E.row(k).block(1, 72) == row(k).block(1, 72)
+    assert diagonal.antidiagonal(E).block(start, n) == antidiagonal_by_definition(row, start, n)
 
 
 @pytest.mark.parametrize("value", [-1, -2, 2, 255, 256, "1", 0.5, None])

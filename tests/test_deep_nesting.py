@@ -156,6 +156,27 @@ def test_diagonal_blocks_of_1e4_deep_chains(name):
     assert x.block(DIAGONAL_DEPTH - 20, 40) == DIAGONAL_BLOCKS[name][1]
 
 
+# 64-bit antidiagonal blocks of DEPTH-deep split chains over the matrix.
+# Row r of the chain is matrix row r * 2^DEPTH, plus 2^DEPTH - 1 for
+# splitodd, so antidiagonal bits up to DEPTH are 1 for spliteven and 0 for
+# splitodd, and bit p past DEPTH is the complement of bit p - 1 - DEPTH of
+# p - 1.
+SPLIT_CHAIN_BLOCKS = {
+    "spliteven": (0xFFFFFFFFFFFFFFFF, 0xFFFFFFCF2BFFFFFF),
+    "splitodd": (0, 0xFFFFFFCF2BE00000),
+}
+
+
+@pytest.mark.parametrize("name", SPLIT_CHAIN_BLOCKS)
+def test_antidiagonal_blocks_of_1e5_deep_split_chains(name):
+    E = listmatrix.matrix_enumeration()
+    for _ in range(DEPTH):
+        E = diagonal.split(E)[name == "splitodd"]
+    x = diagonal.antidiagonal(E)
+    assert x.block(1, 64) == SPLIT_CHAIN_BLOCKS[name][0]
+    assert x.block(DEPTH - 20, 64) == SPLIT_CHAIN_BLOCKS[name][1]
+
+
 def test_library_complement_and_prepend_loops():
     s = bitseq.periodic("011")
     for _ in range(DEPTH):

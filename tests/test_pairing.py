@@ -1,6 +1,7 @@
 import copy
 import itertools
 import pickle
+import random
 import tracemalloc
 
 import pytest
@@ -221,6 +222,23 @@ def test_row_label_published_values():
 
 def test_row_label_matches_walk_oracle():
     assert row_labels_by_walk(1000) == [row_label(i) for i in range(1000)]
+
+
+def triangular_by_product(d):
+    return d * (d + 1) // 2
+
+
+@pytest.mark.parametrize("bits", [1 << e for e in range(6, 18)])
+def test_big_ints_match_the_product_forms(bits):
+    rng = random.Random(bits)
+    for _ in range(2):
+        drawn = rng.getrandbits(bits) | 1 << (bits - 1)
+        for i in (drawn - drawn % 2, drawn - drawn % 2 + 1):
+            assert row_label(i) == triangular_by_product(i) + (i if i % 2 else 0)
+            p = zigzag_decode(i)
+            assert zigzag_encode(p) == i
+            d = p.m + p.n
+            assert triangular_by_product(d) <= i < triangular_by_product(d + 1)
 
 
 def test_negative_inputs_rejected():
