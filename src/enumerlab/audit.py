@@ -59,7 +59,7 @@ from operator import add, and_, eq, itemgetter, setitem
 
 from . import bitseq, diagonal, listmatrix, pairing, tree
 from .budget import BudgetError, check_budget
-from .record import Record
+from .record import Record, _repr_or_hex
 
 __all__ = [
     "VERIFIED",
@@ -420,7 +420,7 @@ def run_claim(claim_id: str, depth: int) -> ClaimReport:
     if claim_id not in _CLAIMS:
         raise KeyError(f"unknown claim id {claim_id!r}")
     if depth < 0:
-        raise ValueError(f"depth must be >= 0, got {depth}")
+        raise ValueError(f"depth must be >= 0, got {_repr_or_hex(depth)}")
     anchor, fn = _CLAIMS[claim_id]
     start = time.perf_counter_ns()
     status, witnesses = fn(depth)

@@ -142,9 +142,9 @@ class BitSeq(_Node):
     def block(self, start: int, n: int) -> int:
         """Bits start..start+n-1 as an int, bit start+k at int bit k."""
         if start < 1:
-            raise PositionError(f"positions are 1-based, got {start}")
+            raise PositionError(f"positions are 1-based, got {_repr_or_hex(start)}")
         if n < 0:
-            raise ValueError(f"block length must be >= 0, got {n}")
+            raise ValueError(f"block length must be >= 0, got {_repr_or_hex(n)}")
         return _read(self, start, n)
 
 
@@ -159,7 +159,7 @@ class Enumeration(_Node):
 
     def row(self, i: int) -> BitSeq:
         if i < 0:
-            raise ValueError(f"row indices are 0-based naturals, got {i}")
+            raise ValueError(f"row indices are 0-based naturals, got {_repr_or_hex(i)}")
         return _row(self, i)
 
 
@@ -288,7 +288,9 @@ def _rule_bits(rule: Callable[[int], int], positions: range) -> bytes:
     values = list(map(rule, positions))
     for p, v in zip(positions, values):
         if not isinstance(v, int) or v not in (0, 1):
-            raise ValueError(f"bit at position {p} must be 0 or 1, got {v!r}")
+            raise ValueError(
+                f"bit at position {_repr_or_hex(p)} must be 0 or 1, got {_repr_or_hex(v)}"
+            )
     return bytes(values).translate(_DIGITS)
 
 
@@ -429,7 +431,7 @@ def complement(s: BitSeq) -> BitSeq:
 def prefix(s: BitSeq, n: int) -> str:
     """Bits 1..n as a string; prefix(s, 0) is empty."""
     if n < 0:
-        raise ValueError(f"prefix length must be >= 0, got {n}")
+        raise ValueError(f"prefix length must be >= 0, got {_repr_or_hex(n)}")
     return format(s.block(1, n), f"0{n}b")[::-1] if n else ""
 
 
@@ -440,7 +442,7 @@ def dyadic_bounds(s: BitSeq, n: int) -> tuple[Fraction, Fraction]:
     from fractions import Fraction
 
     if n < 0:
-        raise ValueError(f"depth must be >= 0, got {n}")
+        raise ValueError(f"depth must be >= 0, got {_repr_or_hex(n)}")
     numerator = int(prefix(s, n), 2) if n else 0
     low = Fraction(numerator, 1 << n)
     return low, low + Fraction(1, 1 << n)
@@ -455,7 +457,7 @@ def eq_prefix(a: BitSeq, b: BitSeq, n: int) -> int | None:
     side, and nothing past position n is ever read.
     """
     if n < 0:
-        raise ValueError(f"compared length n must be >= 0, got {n}")
+        raise ValueError(f"compared length n must be >= 0, got {_repr_or_hex(n)}")
     start = 1
     while start <= n:
         size = min(max(64, start - 1), n - start + 1)

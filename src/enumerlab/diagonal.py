@@ -17,7 +17,7 @@ lookups.
 from __future__ import annotations
 
 from .bitseq import BitSeq, Enumeration, _node
-from .record import Record
+from .record import Record, _repr_or_hex
 
 __all__ = [
     "Certificate",
@@ -42,7 +42,7 @@ class Certificate(Record):
         if left_bit == right_bit:
             raise ValueError("certificate bits must differ")
         if position < 1:
-            raise ValueError(f"positions are 1-based, got {position}")
+            raise ValueError(f"positions are 1-based, got {_repr_or_hex(position)}")
         self._row, self._position = row, position
         self._left_bit, self._right_bit = left_bit, right_bit
 
@@ -63,7 +63,7 @@ def certificates(E: Enumeration, upto: int) -> list[Certificate]:
     each of the first `upto` rows.  A row that agrees with the complement
     is an internal fault, a RuntimeError, not a bad argument."""
     if upto < 0:
-        raise ValueError(f"row count upto must be >= 0, got {upto}")
+        raise ValueError(f"row count upto must be >= 0, got {_repr_or_hex(upto)}")
     x = antidiagonal(E)
     out = []
     for r in range(upto):

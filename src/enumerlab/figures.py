@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from . import listmatrix, pairing
 from .budget import check_budget
+from .record import _repr_or_hex
 
 __all__ = ["render_figure"]
 
@@ -209,7 +210,7 @@ def render_figure(
     """Render figure `n` (1..6) to an SVG string.  Size parameters the
     figure does not take are ignored; the ones it takes must be >= 0."""
     if n not in _FIGURES:
-        raise ValueError(f"figure number must be 1..6, got {n}")
+        raise ValueError(f"figure number must be 1..6, got {_repr_or_hex(n)}")
     render, defaults = _FIGURES[n]
     given = {
         "depth": depth, "rows": rows, "cols": cols, "diagonals": diagonals, "size": size
@@ -218,6 +219,6 @@ def render_figure(
     for name, default in defaults.items():
         value = default if given[name] is None else given[name]
         if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+            raise ValueError(f"{name} must be >= 0, got {_repr_or_hex(value)}")
         params[name] = value
     return render(**params)

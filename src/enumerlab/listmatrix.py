@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from .bitseq import Enumeration, _node, nat_row, prefix
 from .budget import check_budget
+from .record import _repr_or_hex
 
 __all__ = [
     "entry",
@@ -28,7 +29,9 @@ __all__ = [
 def entry(r: int, c: int) -> int:
     """Bit c of row r: floor(r / 2^c) mod 2."""
     if r < 0 or c < 0:
-        raise ValueError(f"matrix indices must be >= 0, got ({r}, {c})")
+        raise ValueError(
+            f"matrix indices must be >= 0, got ({_repr_or_hex(r)}, {_repr_or_hex(c)})"
+        )
     return (r >> c) & 1
 
 
@@ -48,6 +51,6 @@ def submatrix_rows(i: int) -> set[str]:
     from nat_row blocks, without this function).
     """
     if i < 1:
-        raise ValueError(f"submatrix width must be >= 1, got {i}")
+        raise ValueError(f"submatrix width must be >= 1, got {_repr_or_hex(i)}")
     check_budget(1 << i)
     return {prefix(nat_row(r), i) for r in range(1 << i)}

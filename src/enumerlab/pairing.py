@@ -10,8 +10,10 @@ Tree level k projects onto the anti-diagonal of sum 2^k - 1: node (k, j)
 lands on the grid pair (j, 2^k - 1 - j).
 
 Every query is exact for ints of any size.  On an n-bit input, encoding and
-row_label cost one n-bit squaring, and decoding costs one isqrt and a
-squaring of half that size; parity is read from the low bit, never by
+row_label cost one n-bit squaring.  Decoding costs one square root with its
+remainder, by Zimmermann's Karatsuba square root (INRIA RR-3805, 1999): a
+division of a quarter of the size and a squaring at each halving, and no
+squaring of the root after it.  Parity is read from the low bit, never by
 division.
 """
 
@@ -63,35 +65,68 @@ class NodeAddr(Record):
 
     def __init__(self, level: int, offset: int) -> None:
         if level < 0:
-            raise ValueError(f"level must be >= 0, got {level}")
+            raise ValueError(f"level must be >= 0, got {_repr_or_hex(level)}")
         if not 0 <= offset < (1 << level):
-            raise ValueError(f"offset {offset} out of range for level {level}")
+            raise ValueError(
+                f"offset {_repr_or_hex(offset)} out of range for level {_repr_or_hex(level)}"
+            )
         self._level, self._offset = level, offset
 
 
-def _triangular(d: int) -> int:
-    # d * (d + 1) // 2 with one squaring: CPython squares only when both
-    # operands are the same object
-    return (d * d + d) >> 1
+# inputs of at most this many bits take math.isqrt; above it, where the
+# schoolbook division that ends math.isqrt dominates, _sqrtrem recurses
+# (the break-even lay between 2048 and 3072 bits on CPython 3.11, x86-64)
+_SQRT_BASE_BITS = 2048
+
+
+def _sqrtrem(n: int) -> tuple[int, int]:
+    """(s, n - s*s) with s = isqrt(n), for n >= 0: Zimmermann's Karatsuba
+    square root (Brent and Zimmermann, Modern Computer Arithmetic, SqrtRem)."""
+    if n.bit_length() <= _SQRT_BASE_BITS:
+        s = math.isqrt(n)
+        return s, n - s * s
+    # n is split into quarters of k bits below a top part n >> 3k; with this
+    # k, n has at least 4k - 1 bits, so the top part is at least 2^k / 4 at
+    # every bit length: the normalization under which the root of the top
+    # half, extended by one division, is at most one too large
+    k = n.bit_length() + 1 >> 2
+    mask = (1 << k) - 1
+    s, r = _sqrtrem(n >> 2 * k)
+    q, u = divmod(r << k | n >> k & mask, s << 1)
+    s = (s << k) + q
+    r = (u << k | n & mask) - q * q
+    if r < 0:
+        s -= 1
+        r += 2 * s + 1
+    return s, r
 
 
 def zigzag_encode(p: GridPair) -> int:
     """0-based position of the pair p along the boustrophedon walk."""
     m, n = p
     if m < 0 or n < 0:
-        raise ValueError(f"grid coordinates must be >= 0, got ({m}, {n})")
+        raise ValueError(
+            f"grid coordinates must be >= 0, got ({_repr_or_hex(m)}, {_repr_or_hex(n)})"
+        )
     d = m + n
-    t = _triangular(d)
+    # triangular(d) = d * (d + 1) // 2 with one squaring: CPython squares
+    # only when both operands are the same object
+    t = d * d + d >> 1
     return t + n if d & 1 else t + m
 
 
 def zigzag_decode(i: int) -> GridPair:
     """Inverse of zigzag_encode: the pair at 0-based walk position i."""
     if i < 0:
-        raise ValueError(f"walk index must be >= 0, got {i}")
-    # d is the largest diagonal with triangular(d) <= i
-    d = (math.isqrt(8 * i + 1) - 1) // 2
-    r = i - _triangular(d)
+        raise ValueError(f"walk index must be >= 0, got {_repr_or_hex(i)}")
+    # d is the largest diagonal with triangular(d) <= i, and r = i -
+    # triangular(d); as 8 * triangular(d) + 1 = (2d + 1)^2, the root s of
+    # 8i + 1 is 2d + 1 or 2d + 2, and its remainder gives 8r
+    s, rem = _sqrtrem(8 * i + 1)
+    if s & 1:
+        d, r = s >> 1, rem >> 3
+    else:
+        d, r = (s >> 1) - 1, rem + 2 * s - 1 >> 3
     if d & 1:
         return GridPair(d - r, r)
     return GridPair(r, d - r)
@@ -117,7 +152,7 @@ def level_pairs(k: int) -> Iterator[GridPair]:
     pairs are made one at a time as they are read, so no level is held.
     """
     if k < 0:
-        raise ValueError(f"level must be >= 0, got {k}")
+        raise ValueError(f"level must be >= 0, got {_repr_or_hex(k)}")
     size = 1 << k
     check_budget(size)
     return map(_new_pair, zip(range(size), reversed(range(size))))
@@ -136,7 +171,9 @@ def pair_to_node(p: GridPair) -> NodeAddr | None:
     """
     m, n = p
     if m < 0 or n < 0:
-        raise ValueError(f"grid coordinates must be >= 0, got ({m}, {n})")
+        raise ValueError(
+            f"grid coordinates must be >= 0, got ({_repr_or_hex(m)}, {_repr_or_hex(n)})"
+        )
     s = m + n + 1
     if s & (s - 1) != 0:
         return None
@@ -151,7 +188,7 @@ def row_label(i: int) -> int:
     odd i.  The label sequence begins 0, 2, 3, 9, 10, 20, 21.
     """
     if i < 0:
-        raise ValueError(f"row index must be >= 0, got {i}")
+        raise ValueError(f"row index must be >= 0, got {_repr_or_hex(i)}")
     return zigzag_encode(GridPair(0, i))
 
 

@@ -16,6 +16,7 @@ from typing import Iterator
 from .bitseq import BitSeq, prefix
 from .budget import check_budget
 from .pairing import NodeAddr
+from .record import _repr_or_hex
 
 __all__ = [
     "children",
@@ -61,7 +62,7 @@ def paths_at_depth(i: int) -> Iterator[str]:
     order.  The budget is checked eagerly, before anything is built.
     """
     if i < 1:
-        raise ValueError(f"path length must be >= 1, got {i}")
+        raise ValueError(f"path length must be >= 1, got {_repr_or_hex(i)}")
     check_budget(1 << i)
     halves = [list(map("".join, product("01", repeat=n))) for n in (i - i // 2, i // 2)]
     return starmap(str.__add__, product(*halves))
@@ -78,5 +79,5 @@ def node_count(i: int) -> int:
     """Number of non-root nodes of the depth-i truncation:
     2 + 4 + ... + 2^i = 2^(i+1) - 2."""
     if i < 0:
-        raise ValueError(f"depth must be >= 0, got {i}")
+        raise ValueError(f"depth must be >= 0, got {_repr_or_hex(i)}")
     return (1 << (i + 1)) - 2

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import pickle
 import random
 import tracemalloc
@@ -34,7 +35,7 @@ def test_walk_table():
 
 
 def test_encode_matches_brute_force_walk():
-    for i, pair in zip(range(2000), zigzag_walk()):
+    for i, pair in zip(range(10**4), zigzag_walk()):
         assert zigzag_decode(i) == pair
         assert zigzag_encode(pair) == i
 
@@ -228,7 +229,18 @@ def triangular_by_product(d):
     return d * (d + 1) // 2
 
 
-@pytest.mark.parametrize("bits", [1 << e for e in range(6, 18)])
+def decode_by_isqrt(i):
+    """zigzag_decode as math.isqrt and the product form of triangular(d)."""
+    d = (math.isqrt(8 * i + 1) - 1) // 2
+    r = i - triangular_by_product(d)
+    return GridPair(d - r, r) if d % 2 else GridPair(r, d - r)
+
+
+def test_decode_matches_the_isqrt_form():
+    assert all(zigzag_decode(i) == decode_by_isqrt(i) for i in range(10**5))
+
+
+@pytest.mark.parametrize("bits", [1 << e for e in range(6, 20)])
 def test_big_ints_match_the_product_forms(bits):
     rng = random.Random(bits)
     for _ in range(2):
@@ -239,6 +251,55 @@ def test_big_ints_match_the_product_forms(bits):
             assert zigzag_encode(p) == i
             d = p.m + p.n
             assert triangular_by_product(d) <= i < triangular_by_product(d + 1)
+            assert p == decode_by_isqrt(i)
+    # the first and last walk positions of an odd and of an even diagonal
+    for d in (drawn >> bits // 2 + 1, (drawn >> bits // 2 + 1) + 1):
+        for i in (triangular_by_product(d), triangular_by_product(d + 1) - 1):
+            assert zigzag_decode(i) == decode_by_isqrt(i)
+
+
+def sqrtrem_cases():
+    """Bit lengths: small ones, each side of the base-case limit, every
+    length mod 4 above it, and the powers of 2 up to 2^19 with their
+    neighbours."""
+    limit = pairing._SQRT_BASE_BITS
+    return sorted(
+        {*range(1, 70), *range(limit - 4, limit + 5), *range(4 * limit, 4 * limit + 4)}
+        | {(1 << e) + j for e in range(12, 19) for j in range(-1, 3)} | {1 << 19}
+    )
+
+
+@pytest.mark.parametrize("bits", sqrtrem_cases())
+def test_sqrtrem_matches_isqrt(bits):
+    rng = random.Random(bits)
+    drawn = rng.getrandbits(bits) | 1 << (bits - 1)
+    s = math.isqrt(drawn)
+    cut = max(0, s.bit_length() - 5)
+    short = s >> cut << cut
+    # a random int, a power of 2 (of 4 at odd lengths), the square of its
+    # root and its neighbours s^2 - 1 and s^2 + 2s, the largest with roots
+    # s - 1 and s, and short^2 - 1 for the root cut to its top 5 bits, on
+    # which a split whose top quarter is below 2^k / 4 needs a second
+    # correction
+    for n in (drawn, 1 << (bits - 1), s * s, s * s - 1, s * s + 2 * s, short * short - 1):
+        root = math.isqrt(n)
+        assert pairing._sqrtrem(n) == (root, n - root * root)
+
+
+def test_decode_keeps_isqrt_within_the_base_case(monkeypatch):
+    sizes = []
+
+    def isqrt(n, isqrt=math.isqrt):
+        sizes.append(n.bit_length())
+        return isqrt(n)
+
+    monkeypatch.setattr(pairing.math, "isqrt", isqrt)
+    rng = random.Random(16)
+    # 8i + 1 one bit past the limit, and a 2^16-bit i
+    for bits in (pairing._SQRT_BASE_BITS - 2, 1 << 16):
+        i = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert zigzag_encode(zigzag_decode(i)) == i
+    assert sizes and max(sizes) <= pairing._SQRT_BASE_BITS
 
 
 def test_negative_inputs_rejected():
