@@ -44,6 +44,10 @@ paths, C6 one of 5 * depth, the certificates of its battery, and C7 one of
 depth^2 items, the bits of the 2 * depth row prefixes it reads: each row
 once, the odd ones into a dict from prefix to row, so no pair of rows is
 compared one by one.
+
+C9 checks a budget of its 2^depth rows and reads where each first differs
+from the all-ones path in one pass in C, as bytes of r ^ (r + 1) bit lengths;
+max, index and the first 8 of them give its witnesses.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from collections import deque
 from contextlib import suppress
 from heapq import nsmallest
 from itertools import chain, filterfalse, islice, repeat
-from operator import add, and_, eq, itemgetter, setitem
+from operator import add, and_, eq, itemgetter, setitem, xor
 
 from . import bitseq, diagonal, listmatrix, pairing, tree
 from .budget import BudgetError, check_budget
@@ -300,24 +304,13 @@ def _claim_c9(depth: int) -> tuple[str, list]:
         return NOT_FINITELY_CHECKABLE, []
     n_rows = 1 << depth
     check_budget(n_rows)
+    # first zero bit of r, 1-based: the first position where row r disagrees
+    # with the all-ones sequence, the bit length of r ^ (r + 1), <= depth + 1
+    positions = bytes(map(int.bit_length, map(xor, range(n_rows), range(1, n_rows + 1))))
+    max_position = max(positions)
+    rows = chain(range(min(8, n_rows)), [positions.index(max_position)])
+    witnesses = [_disagreement_witness(r, positions[r]) for r in rows]
     all_ones = bitseq.ones()
-    sample: list[dict] = []
-    max_position = 0
-    max_row = 0
-    for r in range(n_rows):
-        # first zero bit of r, 1-based: the first position where row r
-        # disagrees with the all-ones sequence; pos <= r.bit_length() + 1 <= depth + 1
-        x = r
-        pos = 1
-        while x & 1:
-            x >>= 1
-            pos += 1
-        if pos > max_position:
-            max_position = pos
-            max_row = r
-        if r < 8:
-            sample.append(_disagreement_witness(r, pos))
-    witnesses = sample + [_disagreement_witness(max_row, max_position)]
     for w in witnesses:
         seq = bitseq.nat_row(w["row"])
         if seq.bit_at(w["position"]) != w["row_bit"] or all_ones.bit_at(

@@ -56,9 +56,13 @@ def _arg(*flags, **kwargs):
 
 
 def _count(name: str, value: int) -> int:
-    """A number of items to print must be a natural number."""
+    """A number of items to print must be a natural number within the item
+    budget."""
+    from .budget import check_budget
+
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+    check_budget(value)
     return value
 
 

@@ -135,8 +135,14 @@ def test_completeness_refutation():
             assert bitseq.nat_row(r).bit_at(pos) == 0
             assert all_ones.bit_at(pos) == 1
         assert max(witnesses) == 21
+        # the last row is the first, and only, to disagree at position 21
+        assert witnesses.index(21) == 2**20 - 1
         report = audit.run_claim("C9", 20)
         assert report.status == audit.REFUTED
+        rows = [*range(8), 2**20 - 1]
+        assert report.witnesses == [
+            {"row": r, "position": witnesses[r], "row_bit": 0, "ones_bit": 1} for r in rows
+        ] + [{"rows_checked": 2**20, "max_position": 21, "diagonal_complement_is_all_ones_to": 21}]
         assert time.perf_counter() - start < 10.0
 
 
@@ -144,11 +150,13 @@ def test_split_interleave_transforms():
     with criterion("split/interleave roundtrip: matrix + 100 random programs"):
         def check_roundtrip(E, rows, positions):
             rebuilt = diagonal.interleave(*diagonal.split(E))
+            # the original row in one prefix read (the block path), the
+            # rebuilt one bit by bit (the one-bit path)
             for r in range(rows):
-                a = E.row(r)
+                a = bitseq.prefix(E.row(r), positions)
                 b = rebuilt.row(r)
                 for i in range(1, positions + 1):
-                    assert a.bit_at(i) == b.bit_at(i), (r, i)
+                    assert int(a[i - 1]) == b.bit_at(i), (r, i)
 
         check_roundtrip(listmatrix.matrix_enumeration(), 1000, 64)
         for ast in enum_corpus(size=100):

@@ -101,13 +101,30 @@ def test_c8_coverage():
     assert run_claim("C8", 12).status == VERIFIED
 
 
-def test_c9_refutation_and_witnesses():
-    r = run_claim("C9", 12)
+@pytest.mark.parametrize("depth", [2, 3, 12])  # fewer than 8 rows, exactly 8, more
+def test_c9_refutation_and_witnesses(depth):
+    # oracle: the first zero bit of each row r < 2^depth, 1-based, by a per-row loop
+    positions = []
+    for row in range(1 << depth):
+        x, pos = row, 1
+        while x & 1:
+            x >>= 1
+            pos += 1
+        positions.append(pos)
+    # the last row is all ones below the depth, so it alone disagrees latest
+    assert positions.index(max(positions)) == len(positions) - 1
+    rows = [*range(min(8, len(positions))), len(positions) - 1]
+    r = run_claim("C9", depth)
     assert r.status == REFUTED
-    assert r.witnesses
-    summary = r.witnesses[-1]
-    assert summary["rows_checked"] == 4096
-    assert summary["max_position"] <= 13
+    assert r.witnesses == [
+        {"row": row, "position": positions[row], "row_bit": 0, "ones_bit": 1} for row in rows
+    ] + [
+        {
+            "rows_checked": 1 << depth,
+            "max_position": depth + 1,
+            "diagonal_complement_is_all_ones_to": depth + 1,
+        }
+    ]
     # every per-row witness revalidates through public operations only
     for w in r.witnesses[:-1]:
         row, pos = w["row"], w["position"]

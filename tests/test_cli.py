@@ -214,6 +214,17 @@ def test_env_budget_override(capsys, monkeypatch):
     assert run(capsys, "tree", "paths", "2")[0] == 0
 
 
+@pytest.mark.parametrize(
+    "command", ["matrix labels 100", "diag apply figure5 --rows 100", "diag cert figure5 --rows 100"]
+)
+def test_count_over_env_budget_is_budget_error(capsys, monkeypatch, command):
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "10")
+    code, out, err = run(capsys, *command.split())
+    assert (code, out) == (cli.EXIT_BUDGET, "")
+    assert err == "budget error: enumeration of 100 items exceeds budget of 10\n"
+    assert run(capsys, *command.replace("100", "10").split())[0] == cli.EXIT_OK
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
