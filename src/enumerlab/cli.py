@@ -162,7 +162,7 @@ _COMMANDS = {
     "pair": ("grid pairs and the boustrophedon walk", {
         "encode": ("walk position of a grid pair", "pairing",
                    [_arg("m", type=int), _arg("n", type=int)],
-                   lambda pairing, a: [pairing.zigzag_encode(pairing.GridPair(a.m, a.n))]),
+                   lambda pairing, a: [pairing.zigzag_encode((a.m, a.n))]),
         "decode": ("grid pair at a walk position", "pairing", [_arg("index", type=int)],
                    lambda pairing, a: [_grid_pair(pairing.zigzag_decode(a.index))]),
         "level": ("grid pairs of one tree level", "pairing", [_arg("k", type=int)],

@@ -14,6 +14,8 @@ on.  Oversized renders are rejected through the enumeration budget.
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import listmatrix, pairing
 from .budget import check_budget
 from .record import _repr_or_hex
@@ -104,14 +106,6 @@ def _walk_polyline(diagonals: int, margin: int, body: list[str]) -> None:
     )
 
 
-def _figure_grid(size: int) -> str:
-    check_budget(size * size)
-    body: list[str] = []
-    _grid(size, body)
-    span = size * CELL
-    return _svg(2 * MARGIN + span, 2 * MARGIN + span, body)
-
-
 def _figure_tree(depth: int) -> str:
     check_budget(1 << depth)
     # root at the left, levels advance to the right; within a level, the
@@ -189,7 +183,7 @@ def _figure_labeled_walk(rows: int, cols: int) -> str:
 
 # figure number -> renderer and the size parameters it takes, with defaults
 _FIGURES = {
-    1: (_figure_grid, {"size": 10}),
+    1: (partial(_figure_walk, 0), {"size": 10}),
     2: (_figure_tree, {"depth": 4}),
     3: (_figure_projection, {"depth": 3, "size": 10}),
     4: (_figure_walk, {"diagonals": 10, "size": 10}),

@@ -52,8 +52,9 @@ class GridPair(NamedTuple):
 
 
 # a GridPair from an (m, n) tuple, built in C without the Python-level
-# __new__; bound once here, because perfbench's tracer rebinds the module
-# name GridPair to a plain function, which tuple.__new__ rejects as a type
+# __new__; every pair the library builds goes through it.  Bound once here,
+# because perfbench's tracer rebinds the module name GridPair to a plain
+# function, which tuple.__new__ rejects as a type
 _new_pair = partial(tuple.__new__, GridPair)
 
 
@@ -128,8 +129,8 @@ def zigzag_decode(i: int) -> GridPair:
     else:
         d, r = (s >> 1) - 1, rem + 2 * s - 1 >> 3
     if d & 1:
-        return GridPair(d - r, r)
-    return GridPair(r, d - r)
+        return _new_pair((d - r, r))
+    return _new_pair((r, d - r))
 
 
 def zigzag_walk() -> Iterator[GridPair]:
@@ -160,7 +161,7 @@ def level_pairs(k: int) -> Iterator[GridPair]:
 
 def node_to_pair(a: NodeAddr) -> GridPair:
     """Project tree node (k, j) onto the grid pair (j, 2^k - 1 - j)."""
-    return GridPair(a.offset, (1 << a.level) - 1 - a.offset)
+    return _new_pair((a.offset, (1 << a.level) - 1 - a.offset))
 
 
 def pair_to_node(p: GridPair) -> NodeAddr | None:
@@ -189,7 +190,7 @@ def row_label(i: int) -> int:
     """
     if i < 0:
         raise ValueError(f"row index must be >= 0, got {_repr_or_hex(i)}")
-    return zigzag_encode(GridPair(0, i))
+    return zigzag_encode((0, i))
 
 
 def row_labels_by_walk(n_rows: int) -> list[int]:

@@ -54,11 +54,21 @@ def test_tree_figure_depth_1():
     assert texts(svg, cls="branch-label") == ["0", "1"]
 
 
-def test_walk_figure_zero_diagonals_is_grid_only():
+def test_walk_figure_zero_diagonals_is_grid_only(monkeypatch):
     svg = render_figure(4, diagonals=0)
     assert "polyline" not in svg
     grid_only = render_figure(1)
     assert texts(svg, cls="col-label") == texts(grid_only, cls="col-label")
+    # figure 1 is figure 4 without its walk, byte for byte, budget included
+    for s in (0, 1, 10):
+        assert render_figure(4, diagonals=0, size=s) == render_figure(1, size=s)
+    monkeypatch.setenv("ENUMERLAB_BUDGET", "99")
+    errors = []
+    for n in (4, 1):
+        with pytest.raises(BudgetError) as caught:
+            render_figure(n, diagonals=0, size=10)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
 
 
 def test_walk_figure_has_polyline():

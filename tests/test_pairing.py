@@ -106,6 +106,18 @@ def test_level_pairs_survive_a_wrapped_class(monkeypatch):
     monkeypatch.setattr(pairing, "GridPair", lambda m, n: real(m, n))
     assert list(level_pairs(2)) == [(0, 3), (1, 2), (2, 1), (3, 0)]
     assert all(type(p) is real for p in level_pairs(2))
+    # and pairs never come from the module name: rebound to a function that
+    # returns a plain tuple, every pair the library builds is still a GridPair
+    monkeypatch.setattr(pairing, "GridPair", lambda m, n: (m, n))
+    built = [
+        *level_pairs(2),
+        *itertools.islice(zigzag_walk(), 7),
+        *map(zigzag_decode, range(7)),
+        node_to_pair(NodeAddr(2, 1)),
+    ]
+    assert all(type(p) is real for p in built)
+    assert built[4:] == [*WALK_TABLE, *WALK_TABLE, (1, 2)]
+    assert [row_label(i) for i in range(7)] == [0, 2, 3, 9, 10, 20, 21]
 
 
 def test_level_pairs_is_lazy(monkeypatch):
