@@ -31,23 +31,23 @@ C4 holds a count:
       at its heap index 2^k + j in one bytearray over all lengths; indices
       2..2^(depth+1)-1 must all be set, and any other goes to a small set;
       witnesses are the 8 smallest missing and extra keys
-  C4  checks the same budget as C3, then counts the enumerated paths of
-      each level 1..i and compares their running sum with node_count(i)
-  C8  checks the budget for its 2^d rows, then reads each of them once, as
-      a d-bit nat_row block, into one int array; width i verifies when the
-      enumerated paths of length i, read as ints, and the rows' low i bits
-      each set all of 2^i flags, so the rows list each key once; the sets
-      of a witness are built only on the way to a refutation
+  C4  counts the enumerated paths of each level 1..i and compares their
+      running sum with node_count(i)
+  C8  reads each of its 2^d rows once, as a d-bit nat_row block, into one
+      int array; width i verifies when the enumerated paths of length i,
+      read as ints, and the rows' low i bits each set all of 2^i flags, so
+      the rows list each key once; the sets of a witness are built only on
+      the way to a refutation
 
-C5 checks a budget of depth(depth+1)/2 items, the bits of its all-ones
-paths, C6 one of 5 * depth, the certificates of its battery, and C7 one of
-depth^2 items, the bits of the 2 * depth row prefixes it reads: each row
-once, the odd ones into a dict from prefix to row, so no pair of rows is
-compared one by one.
+Each _CLAIMS row gives the items its claim examines at a depth, and
+run_claim checks them against the budget before the claim runs.
 
-C9 checks a budget of its 2^depth rows and reads where each first differs
-from the all-ones path in one pass in C, as bytes of r ^ (r + 1) bit lengths;
-max, index and the first 8 of them give its witnesses.
+C7 reads each of its 2 * depth row prefixes once, the odd ones into a dict
+from prefix to row, so no pair of rows is compared one by one.  C9 reads
+where each of its 2^depth rows first differs from the all-ones path in one
+pass in C, as bytes of r ^ (r + 1) bit lengths; max, index and the first 8
+of them give its witnesses, and a witness or a diagonal complement that
+does not read back as stated raises AssertionError.
 """
 
 from __future__ import annotations
@@ -121,7 +121,6 @@ def _battery() -> list[bitseq.Enumeration]:
 
 
 def _claim_c1(depth: int) -> tuple[str, list]:
-    check_budget((1 << (depth + 1)) - 1)
     # pairs on anti-diagonals of different sums differ, so levels whose pairs
     # all lie on their own anti-diagonal share no pair
     for k in range(depth + 1):
@@ -161,7 +160,6 @@ def _covers(size: int, keys) -> bool:
 
 
 def _claim_c2(depth: int) -> tuple[str, list]:
-    check_budget(depth)
     # decode inverts encode and follows the literal walk below the depth, so
     # each anti-diagonal's pairs, walked in order, encode onto its block
     walk = pairing.zigzag_walk()
@@ -177,7 +175,6 @@ def _claim_c2(depth: int) -> tuple[str, list]:
 
 
 def _claim_c3(depth: int) -> tuple[str, list]:
-    check_budget((1 << (depth + 1)) - 2)
     # heap index 2^k + j: one key per node (k, j), since NodeAddr keeps j < 2^k
     paths = chain.from_iterable(map(tree.paths_at_depth, range(1, depth + 1)))
     nodes = range(2, 2 << depth)
@@ -200,7 +197,6 @@ def _c3_nodes(keys) -> list[tuple[int, int]]:
 
 
 def _claim_c4(depth: int) -> tuple[str, list]:
-    check_budget((1 << (depth + 1)) - 2)
     total = 0
     for i in range(1, depth + 1):
         total += sum(1 for _ in tree.paths_at_depth(i))
@@ -215,7 +211,6 @@ def _claim_c5(depth: int) -> tuple[str, list]:
     # which holds only under the mirrored orientation (k, j) -> (2^k-1-j, j);
     # the verdict below is relative to that flag.  At node (k, 2^k-1), the
     # mirrored pair (0, 2^k-1) and the inclusive distance 2^k are identities.
-    check_budget(depth * (depth + 1) // 2)
     for k in range(depth + 1):
         addr = tree.path_to_addr("1" * k)
         if addr != pairing.NodeAddr(k, (1 << k) - 1):
@@ -224,10 +219,8 @@ def _claim_c5(depth: int) -> tuple[str, list]:
 
 
 def _claim_c6(depth: int) -> tuple[str, list]:
-    battery = _battery()
-    check_budget(len(battery) * depth)
     checked = []
-    for E in battery:
+    for E in _battery():
         certs = diagonal.certificates(E, depth)
         x = diagonal.antidiagonal(E)
         for cert in certs:
@@ -244,7 +237,6 @@ def _claim_c6(depth: int) -> tuple[str, list]:
 
 
 def _claim_c7(depth: int) -> tuple[str, list]:
-    check_budget(depth * depth)
     even, odd = diagonal.split(listmatrix.matrix_enumeration())
     # each odd row's prefix is read once, keyed to the first row that has
     # it, so the first even row found gives the first pair in row-major order
@@ -267,7 +259,6 @@ def _claim_c7(depth: int) -> tuple[str, list]:
 
 
 def _claim_c8(depth: int) -> tuple[str, list]:
-    check_budget(1 << depth)
     # row r's first `depth` bits, packed least-significant-bit first, so
     # its length-i prefix is the low i bits; each row is read once
     rows = array("Q")
@@ -303,7 +294,6 @@ def _claim_c9(depth: int) -> tuple[str, list]:
         # completeness premise cannot be confronted with any row
         return NOT_FINITELY_CHECKABLE, []
     n_rows = 1 << depth
-    check_budget(n_rows)
     # first zero bit of r, 1-based: the first position where row r disagrees
     # with the all-ones sequence, the bit length of r ^ (r + 1), <= depth + 1
     positions = bytes(map(int.bit_length, map(xor, range(n_rows), range(1, n_rows + 1))))
@@ -312,18 +302,13 @@ def _claim_c9(depth: int) -> tuple[str, list]:
     witnesses = [_disagreement_witness(r, positions[r]) for r in rows]
     all_ones = bitseq.ones()
     for w in witnesses:
-        seq = bitseq.nat_row(w["row"])
-        if seq.bit_at(w["position"]) != w["row_bit"] or all_ones.bit_at(
-            w["position"]
-        ) != w["ones_bit"]:
+        if bitseq.eq_prefix(bitseq.nat_row(w["row"]), all_ones, w["position"]) != w["position"]:
             raise AssertionError(f"witness failed revalidation: {w}")
     # the diagonal complement of the matrix IS the missing all-ones path
     diag = diagonal.antidiagonal(listmatrix.matrix_enumeration())
     agree_to = min(256, depth + 1)
     if bitseq.eq_prefix(diag, all_ones, agree_to) is not None:
-        return NOT_FINITELY_CHECKABLE, [
-            {"note": "diagonal complement unexpectedly differs from all-ones"}
-        ]
+        raise AssertionError("diagonal complement unexpectedly differs from all-ones")
     witnesses.append(
         {
             "rows_checked": n_rows,
@@ -339,7 +324,6 @@ def _disagreement_witness(r: int, pos: int) -> dict:
 
 
 def _claim_c10(depth: int) -> tuple[str, list]:
-    check_budget(depth * (depth + 1) // 2 + depth)
     walked = pairing.row_labels_by_walk(depth)
     for i in range(depth):
         closed = pairing.row_label(i)
@@ -352,51 +336,61 @@ _CLAIMS = {
     "C1": (
         "projection of tree level k onto the anti-diagonal of sum 2^k-1 "
         "is injective, with disjoint images across levels",
+        lambda d: (2 << d) - 1,
         _claim_c1,
     ),
     "C2": (
         "the boustrophedon walk gives a bijection between walk positions "
         "and grid pairs",
+        lambda d: d,
         _claim_c2,
     ),
     "C3": (
         "endings of all paths of length 1..i are exactly the non-root "
         "nodes of the depth-i tree",
+        lambda d: (2 << d) - 2,
         _claim_c3,
     ),
     "C4": (
         "path counts per level sum to the non-root node count: "
         "sum of 2^t for t<=i equals 2^(i+1)-2",
+        lambda d: (2 << d) - 2,
         _claim_c4,
     ),
     "C5": (
         "the all-ones path meets column 0 at row 2^k-1, and the inclusive "
         "node distance from the origin equals the level size 2^k",
+        lambda d: d * (d + 1) // 2,
         _claim_c5,
     ),
     "C6": (
         "the diagonal complement of a listed enumeration differs from "
         "every listed row at the paired position",
+        lambda d: len(_battery()) * d,
         _claim_c6,
     ),
     "C7": (
         "the even-row and odd-row halves of the matrix list are disjoint, "
         "checked as prefix-distinctness",
+        lambda d: d * d,
         _claim_c7,
     ),
     "C8": (
         "the first 2^i rows restricted to i columns list every length-i "
         "bit string exactly once",
+        lambda d: 1 << d,
         _claim_c8,
     ),
     "C9": (
         "the matrix lists every infinite path: refuted, every row has "
         "finite support and the all-ones path is absent",
+        lambda d: 1 << d,
         _claim_c9,
     ),
     "C10": (
         "closed-form row labels agree with the literal step-by-step "
         "walk count",
+        lambda d: d * (d + 1) // 2 + d,
         _claim_c10,
     ),
 }
@@ -414,9 +408,10 @@ def run_claim(claim_id: str, depth: int) -> ClaimReport:
         raise KeyError(f"unknown claim id {claim_id!r}")
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {_repr_or_hex(depth)}")
-    anchor, fn = _CLAIMS[claim_id]
+    anchor, items, check = _CLAIMS[claim_id]
     start = time.perf_counter_ns()
-    status, witnesses = fn(depth)
+    check_budget(items(depth))
+    status, witnesses = check(depth)
     elapsed_ns = time.perf_counter_ns() - start
     return ClaimReport(claim_id, anchor, depth, status, witnesses, elapsed_ns)
 
@@ -435,7 +430,7 @@ def run_all(depth: int) -> list[ClaimReport]:
         try:
             reports.append(run_claim(claim_id, depth))
         except BudgetError as exc:
-            anchor, _ = _CLAIMS[claim_id]
+            anchor = _CLAIMS[claim_id][0]
             reports.append(
                 ClaimReport(
                     claim_id,

@@ -80,11 +80,22 @@ def test_c6_battery_size():
     assert all(w["certificates"] == 25 for w in r.witnesses)
 
 
-def test_c5_checks_its_budget(monkeypatch):
-    # the all-ones paths of lengths 1..100 hold 5050 bits
-    monkeypatch.setenv("ENUMERLAB_BUDGET", "4096")
-    with pytest.raises(BudgetError, match=r"^enumeration of 5050 items exceeds budget of 4096$"):
-        run_claim("C5", 100)
+@pytest.mark.parametrize(
+    "claim_id, depth, items",
+    [
+        ("C1", 6, 127), ("C2", 6, 6), ("C3", 6, 126), ("C4", 6, 126), ("C5", 6, 21),
+        ("C6", 6, 30), ("C7", 6, 36), ("C8", 6, 64), ("C9", 6, 64), ("C10", 6, 27),
+        # the all-ones paths of lengths 1..100 hold 5050 bits
+        ("C5", 100, 5050),
+    ],
+)
+def test_each_claim_checks_its_items(monkeypatch, claim_id, depth, items):
+    monkeypatch.setenv("ENUMERLAB_BUDGET", str(items - 1))
+    with pytest.raises(BudgetError) as exc:
+        run_claim(claim_id, depth)
+    assert exc.value.requested == items
+    monkeypatch.setenv("ENUMERLAB_BUDGET", str(items))
+    assert run_claim(claim_id, depth).claim_id == claim_id
 
 
 def test_c6_checks_its_budget(monkeypatch):
@@ -174,8 +185,8 @@ def test_run_all_propagates_internal_fault(monkeypatch):
     def broken(depth):
         raise AssertionError("witness failed revalidation")
 
-    anchor, _ = audit._CLAIMS["C9"]
-    monkeypatch.setitem(audit._CLAIMS, "C9", (anchor, broken))
+    anchor, items, _ = audit._CLAIMS["C9"]
+    monkeypatch.setitem(audit._CLAIMS, "C9", (anchor, items, broken))
     with pytest.raises(AssertionError, match="revalidation"):
         run_all(3)
 
@@ -557,16 +568,12 @@ def _odd_rows_read_as(real_split, rows):
         ("C7", diagonal, "split", lambda real: _odd_rows_read_as(real, {0: 128}),
          70, NOT_FINITELY_CHECKABLE,
          {"even_row": 64, "odd_row": 0, "prefix_depth": 70, "note": _UNDECIDED}),
-        # the diagonal complement reads as differing from all-ones
-        ("C9", bitseq, "eq_prefix", lambda real: lambda a, b, n: 1,
-         6, NOT_FINITELY_CHECKABLE,
-         {"note": "diagonal complement unexpectedly differs from all-ones"}),
         ("C10", pairing, "row_label", lambda real: lambda i: real(i) + (i == 4),
          8, REFUTED, {"row": 4, "closed_form": 11, "walk": 10}),
     ],
     ids=[
         "C2-encode", "C2-walk", "C2-swap", "C4", "C5", "C6", "C7", "C7-past-64",
-        "C9-diagonal", "C10",
+        "C10",
     ],
 )
 def test_mutation_witness(monkeypatch, claim_id, module, name, mutate, depth, status, witness):
@@ -629,14 +636,27 @@ def test_c2_swap_past_the_depth_verifies(monkeypatch):
 
 
 def test_c9_witness_failing_revalidation_is_internal_error(capsys, monkeypatch):
-    # row 3 reads as row 4, which holds a 1 at the witnessed position 3
+    # row 3 reads as row 4, which holds a 1 at the witnessed position 3, or as
+    # row 2, which first differs from all-ones at position 1, not 3
     real = bitseq.nat_row
-    monkeypatch.setattr(bitseq, "nat_row", lambda r: real(4) if r == 3 else real(r))
     message = "witness failed revalidation: {'row': 3, 'position': 3, 'row_bit': 0, 'ones_bit': 1}"
-    with pytest.raises(AssertionError) as exc:
-        run_claim("C9", 4)
-    assert str(exc.value) == message
-    assert cli.dispatch(["audit", "--claim", "C9", "--depth", "4"]) == cli.EXIT_INTERNAL
+    for read_as in (4, 2):
+        monkeypatch.setattr(bitseq, "nat_row", lambda r: real(read_as) if r == 3 else real(r))
+        with pytest.raises(AssertionError) as exc:
+            run_claim("C9", 4)
+        assert str(exc.value) == message
+        assert cli.dispatch(["audit", "--claim", "C9", "--depth", "4"]) == cli.EXIT_INTERNAL
+        assert capsys.readouterr() == ("", f"internal error: AssertionError: {message}\n")
+
+
+def test_c9_diagonal_differing_from_all_ones_is_internal_error(capsys, monkeypatch):
+    # the diagonal complement reads as all-zeros, so it differs from all-ones
+    # at position 1, while every row witness still reads back as stated
+    monkeypatch.setattr(diagonal, "antidiagonal", lambda E: bitseq.zeros())
+    message = "diagonal complement unexpectedly differs from all-ones"
+    with pytest.raises(AssertionError, match=f"^{message}$"):
+        run_claim("C9", 6)
+    assert cli.dispatch(["audit", "--claim", "C9", "--depth", "6"]) == cli.EXIT_INTERNAL
     assert capsys.readouterr() == ("", f"internal error: AssertionError: {message}\n")
 
 

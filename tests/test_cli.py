@@ -335,9 +335,14 @@ def test_audit_negative_depth_exit_code(capsys):
     assert "depth must be >= 0" in err
 
 
-def test_audit_malformed_env_budget_exit_code(capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "command",
+    ["audit --depth 3", *(f"audit --claim C{k} --depth 0" for k in range(1, 11))],
+    ids=["all", *(f"C{k}" for k in range(1, 11))],
+)
+def test_audit_malformed_env_budget_exit_code(capsys, monkeypatch, command):
     monkeypatch.setenv("ENUMERLAB_BUDGET", "abc")
-    code, out, err = run(capsys, "audit", "--depth", "3")
+    code, out, err = run(capsys, *command.split())
     assert (code, out) == (2, "")
     assert err == "error: ENUMERLAB_BUDGET must be a positive integer, got 'abc'\n"
 
