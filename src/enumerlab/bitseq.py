@@ -167,19 +167,28 @@ class Enumeration(_Node):
 # through this table, never through a module global a caller may rebind
 _CLASSES = {"seq": BitSeq, "enum": Enumeration}
 _new = object.__new__
+# operator: (a test that its literal is out of range, what the error says)
+_BAD_LITERALS = {
+    "natrow": (lambda lit: lit < 0, "natural expected"),
+    "insert": (lambda lit: lit < 0, "insertion index must be >= 0"),
+    "periodic": (lambda lit: not lit or set(lit) - _BITS, "pattern must be a nonempty bit string"),
+    "prepend": (lambda lit: set(lit) - _BITS, "bit string expected"),
+}
+# operator: (the class of its node, its literal test or None, the error)
+_BUILDERS = {
+    op: (_CLASSES[typ], *_BAD_LITERALS.get(op, (None, None)))
+    for op, (typ, _, _) in _OPERATORS.items()
+}
 
 
 def _node(op: str, lit=None, kids: tuple = ()) -> _Node:
-    """Check the literal of operator `op` and build its node."""
-    if op == "natrow" and lit < 0:
-        raise ValueError(f"natural expected, got {_repr_or_hex(lit)}")
-    if op == "insert" and lit < 0:
-        raise ValueError(f"insertion index must be >= 0, got {_repr_or_hex(lit)}")
-    if op == "periodic" and (not lit or set(lit) - _BITS):
-        raise ValueError(f"pattern must be a nonempty bit string, got {lit!r}")
-    if op == "prepend" and set(lit) - _BITS:
-        raise ValueError(f"bit string expected, got {lit!r}")
-    node = _new(_CLASSES[_OPERATORS[op][0]])
+    """Check the literal of operator `op` and build its node, from one
+    lookup in _BUILDERS.  Every operator node is built here: by the
+    constructors, the walks and the evaluator of dsl."""
+    cls, bad, error = _BUILDERS[op]
+    if bad is not None and bad(lit):
+        raise ValueError(f"{error}, got {_repr_or_hex(lit)}")
+    node = _new(cls)
     node._op, node._lit, node._kids = op, lit, kids
     return node
 
@@ -444,8 +453,7 @@ def dyadic_bounds(s: BitSeq, n: int) -> tuple[Fraction, Fraction]:
     if n < 0:
         raise ValueError(f"depth must be >= 0, got {_repr_or_hex(n)}")
     numerator = int(prefix(s, n), 2) if n else 0
-    low = Fraction(numerator, 1 << n)
-    return low, low + Fraction(1, 1 << n)
+    return Fraction(numerator, 1 << n), Fraction(numerator + 1, 1 << n)
 
 
 def eq_prefix(a: BitSeq, b: BitSeq, n: int) -> int | None:

@@ -22,8 +22,10 @@ Grammar (whitespace insignificant, ASCII only):
 There is no recursion or binding, so every program denotes a total value and
 the diagonal complement of any program enumeration is always well defined.
 
-The text is cut into tokens by one regular-expression pass, and one loop
-reads them; an Ast and a Span are immutable __slots__ records.
+A text of names, digits and marks alone is cut into tokens by str.split at
+its marks; any other text by one regular-expression pass, which gives the
+same tokens.  One loop reads them.  An Ast and a Span are immutable
+__slots__ records, which the parser builds without calling __init__.
 
 Errors carry a source position and an expected-token set, and fall into
 three classes: syntax (unexpected token), arity (wrong argument count), and
@@ -144,6 +146,15 @@ _UNEXPECTED = re.compile(r"[^A-Za-z0-9(),\n\t\r ]")
 # Past that check, these pieces cover the text, so their lengths add up to
 # the offset of each: a name, digits, a mark, or a run of blanks.
 _PIECES = re.compile(r"[A-Za-z][A-Za-z0-9]*|[0-9]+|[(),]|[\n\t\r ]+")
+# Each ASCII character as its shape: "a" for a letter, "0" for a digit, a
+# mark as itself, "?" for anything else.  A text whose shape has no "?" and
+# no digit before a letter is names, digits and marks end to end, which
+# str.split cuts into the tokens that _PIECES finds.
+_SHAPES = bytes(
+    ord("a") if bytes([c]).isalpha() else ord("0") if bytes([c]).isdigit()
+    else c if c in b"()," else ord("?")
+    for c in range(256)
+)
 
 
 class _Parser:
@@ -155,6 +166,14 @@ class _Parser:
     ast, span = Ast, Span
 
     def __init__(self, text: str):
+        shape = text.encode("ascii", "replace").translate(_SHAPES)
+        if b"?" not in shape and b"0a" not in shape:
+            self.newlines = []
+            self.tokens = text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").split()
+            # the tokens lie end to end, and the end of input follows the last
+            self.offsets = [*accumulate(map(len, self.tokens), initial=0)]
+            self.tokens.append("")
+            return
         self.newlines = [m.start() for m in re.finditer("\n", text)]
         bad = _UNEXPECTED.search(text)
         if bad is not None:
@@ -181,72 +200,79 @@ class _Parser:
 
     def parse_all(self, want: str) -> Ast:
         """Parse the whole text as one expression of type `want` ("seq" or
-        "enum").  One loop reads the tokens: an operator whose arguments are
-        being read waits on an explicit stack as a [name, signature, index
-        of the next argument, children, literal, offset] frame, so any
-        nesting depth parses."""
+        "enum").  One loop reads the tokens.  The innermost open operator
+        is held in locals: its name, signature, index of the next argument,
+        children, literal and offset; each operator around it waits on an
+        explicit stack as a tuple of the same fields, so any nesting depth
+        parses.  The whole text is the one argument of an operator without
+        a name.  Each Ast and Span is built as object.__new__ of its class
+        with its slots written, not through __init__."""
         tokens, offsets, newlines = self.tokens, self.offsets, self.newlines
         operators, position, ast, span = bitseq._OPERATORS, self._position, self.ast, self.span
-        frames: list[list] = []
+        new = object.__new__
+        frames: list[tuple] = []
+        name, sig, i, kids, value, offset = None, (want,), 1, [], None, 0
         pos = 0
         while True:
             # the head of an expression of type `want`
-            name = tokens[pos]
-            op = operators.get(name)
+            head = tokens[pos]
+            op = operators.get(head)
             if op is None or op[0] != want:
                 self._no_expression(pos, want)
-            offset = offsets[pos]
             if op[1]:
                 if tokens[pos + 1] != "(":
                     found = tokens[pos + 1] or "end of input"
                     self._fail(pos + 1, f"expected (, found {found!r}", "(")
-                frames.append([name, op[1], 0, [], None, offset])
+                frames.append((name, sig, i, kids, value, offset))
+                name, sig, i, kids, value, offset = head, op[1], 0, [], None, offsets[pos]
                 pos += 2
             else:
+                node, where = new(ast), new(span)
+                start = offsets[pos]
+                where._line, where._column = position(start) if newlines else (1, start + 1)
+                where._length = len(head)
+                node._kind, node._children, node._value, node._span = head, (), None, where
+                kids.append(node)
                 pos += 1
-                line, column = position(offset) if newlines else (1, offset + 1)
-                node = ast(name, (), None, span(line, column, len(name)))
-                if frames:
-                    frames[-1][3].append(node)
-            # the arguments of the innermost open operator up to its next
+            # the arguments of the open operator up to its next
             # subexpression, closing each operator whose arguments are read
-            while frames:
-                frame = frames[-1]
-                name, sig, i, kids, value, offset = frame
-                if i < len(sig):
-                    if i:
-                        if tokens[pos] == ")":
-                            self._too_few(pos, name, sig, i, ",")
-                        if tokens[pos] != ",":
-                            found = tokens[pos] or "end of input"
-                            self._fail(pos, f"expected ',', found {found!r}", ",")
-                        pos += 1
-                    want = sig[i]
-                    if tokens[pos] == ")":
-                        self._too_few(pos, name, sig, i, want)
-                    frame[2] = i + 1
-                    if want in _TYPENAME:
-                        break
-                    frame[4] = self._literal(pos, want)
+            while True:
+                if i == len(sig):
+                    if name is None:
+                        if tokens[pos]:
+                            message = f"trailing input after expression: {tokens[pos]!r}"
+                            self._fail(pos, message, {"end of input"})
+                        return kids[0]
+                    if tokens[pos] != ")":
+                        if tokens[pos] == ",":
+                            message = f"too many arguments to {name!r}: expected {len(sig)}"
+                            self._fail(pos, message, ")", "arity")
+                        found = tokens[pos] or "end of input"
+                        self._fail(pos, f"expected ')', found {found!r}", ")")
+                    node, where = new(ast), new(span)
+                    where._line, where._column = position(offset) if newlines else (1, offset + 1)
+                    where._length = offsets[pos] + 1 - offset
+                    node._kind, node._children, node._value = name, tuple(kids), value
+                    node._span = where
                     pos += 1
+                    name, sig, i, kids, value, offset = frames.pop()
+                    kids.append(node)
                     continue
-                if tokens[pos] == ",":
-                    message = f"too many arguments to {name!r}: expected {len(sig)}"
-                    self._fail(pos, message, ")", "arity")
-                if tokens[pos] != ")":
-                    self._fail(pos, f"expected ')', found {tokens[pos] or 'end of input'!r}", ")")
-                line, column = position(offset) if newlines else (1, offset + 1)
-                node = ast(name, tuple(kids), value, span(line, column, offsets[pos] + 1 - offset))
+                if i:
+                    if tokens[pos] == ")":
+                        self._too_few(pos, name, sig, i, ",")
+                    if tokens[pos] != ",":
+                        found = tokens[pos] or "end of input"
+                        self._fail(pos, f"expected ',', found {found!r}", ",")
+                    pos += 1
+                want = sig[i]
+                if tokens[pos] == ")":
+                    self._too_few(pos, name, sig, i, want)
+                i += 1
+                if want in _TYPENAME:
+                    break
+                value = self._literal(pos, want)
                 pos += 1
-                frames.pop()
-                if frames:
-                    frames[-1][3].append(node)
-            else:
-                break
-        if tokens[pos]:
-            message = f"trailing input after expression: {tokens[pos]!r}"
-            self._fail(pos, message, {"end of input"})
-        return node
 
     def _no_expression(self, pos: int, want: str):
         """Fail on token `pos`, which does not start an expression of type
@@ -334,8 +360,8 @@ def _spell_repr(a: Ast) -> tuple:
 def _eval(root: Ast, want: str):
     """Check each subexpression against the type its place requires, in
     preorder from explicit stacks of subexpressions and of types; then
-    build their nodes in reverse preorder, where the children of each are
-    the last nodes built, in reverse."""
+    build their nodes through bitseq._node in reverse preorder, popping the
+    children of each off the stack of nodes built, first child first."""
     order, todo, wants = [], [root], [want]
     while todo:
         a, want = todo.pop(), wants.pop()
@@ -350,12 +376,11 @@ def _eval(root: Ast, want: str):
             todo += kids[::-1]
             wants += operands[1]
     built, node = [], bitseq._node
+    push, pop = built.append, built.pop
     for a in reversed(order):
-        if a._children:
-            k = len(built) - len(a._children)
-            built[k:] = [node(a._kind, a._value, tuple(built[k:][::-1]))]
-        else:
-            built.append(node(a._kind, a._value))
+        # no operator has more than two subexpressions
+        n = len(a._children)
+        push(node(a._kind, a._value, (pop(), pop()) if n == 2 else (pop(),) if n else ()))
     return built[0]
 
 

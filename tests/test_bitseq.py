@@ -77,6 +77,15 @@ def test_dyadic_bounds_examples():
     assert dyadic_bounds(periodic("01"), 2) == (Fraction(1, 4), Fraction(1, 2))
 
 
+@pytest.mark.parametrize("n", [0, 1, 64, 2048])
+@pytest.mark.parametrize("s", [zeros(), ones(), periodic("011")], ids=lambda s: s.description)
+def test_dyadic_bounds_upper_end_is_one_step_above_the_lower(s, n):
+    # the upper end is built as Fraction(numerator + 1, 2^n), with no
+    # Fraction addition; it equals the lower end plus 2^-n
+    low = Fraction(int(prefix(s, n), 2) if n else 0, 1 << n)
+    assert dyadic_bounds(s, n) == (low, low + Fraction(1, 1 << n))
+
+
 @pytest.mark.parametrize("s", all_constructor_kinds(), ids=lambda s: s.description)
 def test_dyadic_bounds_nesting(s):
     prev = dyadic_bounds(s, 0)

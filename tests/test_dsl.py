@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -14,6 +15,8 @@ from enumerlab.dsl import (
     SEQ_KINDS,
     Ast,
     ParseError,
+    Span,
+    _Parser,
     eval_enum,
     eval_seq,
     parse,
@@ -326,6 +329,19 @@ PARSE_ERRORS = [
      "unknown operator 'onez'", 5, 5, SEQ_KINDS, "syntax"),
     ("blank-heavy", parse, "\n\n  interleave ( figure5 ,\n\n\tconst( ones ) ) \n x",
      "trailing input after expression: 'x'", 6, 2, {"end of input"}, "syntax"),
+    # where the tokens meet: digits run into a name, or a name into digits
+    ("digits-then-name", parse, "natrow(123abc)", "expected ')', found 'abc'", 1, 11, {")"},
+     "syntax"),
+    ("bits-then-name", parse, "prepend(01x,ones)", "expected ',', found 'x'", 1, 11, {","},
+     "syntax"),
+    ("digit-then-name", parse, "compl(1ones)", "expected a sequence expression, found '1'", 1, 7,
+     SEQ_KINDS, "syntax"),
+    ("name-digits-name", parse, "spliteven(figure5x)", "unknown operator 'figure5x'", 1, 11,
+     ENUM_KINDS, "syntax"),
+    ("nat-then-name", parse, "insert(figure5,3ones)", "expected ',', found 'ones'", 1, 17,
+     {","}, "syntax"),
+    ("blanks-only", parse, "  ", "expected an expression, found 'end of input'", 1, 3, _BOTH,
+     "syntax"),
 ]
 
 
@@ -341,6 +357,29 @@ def test_parse_error_diagnostics(entry, text, message, line, column, expected, e
     assert (err.message, err.line, err.column) == (message, line, column)
     assert (err.expected, err.error_class) == (frozenset(expected), error_class)
     assert str(err) == f"{line}:{column}: {message}"
+
+
+@pytest.mark.parametrize("text,length", [("natrow(12\r\n)", 12), ("natrow(\t7 )", 11)])
+def test_root_span_covers_blanks_inside(text, length):
+    assert parse(text).span == Span(1, 1, length)
+
+
+_TOKEN_TEXTS = st.text(alphabet="ab09(),\n\t\r ", max_size=30) | _edited_programs()
+
+
+@settings(max_examples=500)
+@given(_TOKEN_TEXTS)
+def test_tokens_and_offsets_are_the_pieces_of_the_text(text):
+    # a name, digits or a mark, blanks between them skipped, then the end
+    pieces = re.compile(r"[A-Za-z][A-Za-z0-9]*|[0-9]+|[(),]")
+    try:
+        p = _Parser(text)
+    except ParseError:
+        assert re.search(r"[^A-Za-z0-9(),\n\t\r ]", text)
+        return
+    found = list(pieces.finditer(text))
+    assert p.tokens == [m.group() for m in found] + [""]
+    assert p.offsets == [m.start() for m in found] + [len(text)]
 
 
 def test_spans_of_a_two_line_program():
@@ -372,12 +411,39 @@ EVAL_ERRORS = [
     (eval_seq, Ast("prepend", (Ast("ones"),), "2"), "bit string expected, got '2'"),
     (eval_enum, Ast("insert", (Ast("figure5"), Ast("ones")), -2),
      "insertion index must be >= 0, got -2"),
+    # nodes are built last child first, so of two bad literals the later
+    # one in preorder is reported; every type fault comes before them
+    (eval_enum, Ast("interleave", (Ast("const", (Ast("natrow", (), -1),)),
+                                   Ast("const", (Ast("natrow", (), -2),)))),
+     "natural expected, got -2"),
+    (eval_enum, Ast("interleave", (Ast("const", (Ast("natrow", (), -1),)),
+                                   Ast("const", (Ast("figure5"),)))),
+     "not a sequence expression: 'figure5'"),
 ]
 
 
 @pytest.mark.parametrize("entry,ast,message", EVAL_ERRORS)
 def test_eval_error_messages(entry, ast, message):
     with pytest.raises(ValueError) as exc:
+        entry(ast)
+    assert str(exc.value) == message
+
+
+_NO_ORDER = "'<' not supported between instances of 'NoneType' and 'int'"
+
+
+@pytest.mark.parametrize(
+    "entry,ast,error,message",
+    [
+        (eval_seq, Ast("natrow"), TypeError, _NO_ORDER),
+        (eval_enum, Ast("insert", (Ast("figure5"), Ast("ones"))), TypeError, _NO_ORDER),
+        (eval_seq, Ast("prepend", (Ast("ones"),)), TypeError, "'NoneType' object is not iterable"),
+        (eval_seq, Ast("periodic"), ValueError, "pattern must be a nonempty bit string, got None"),
+    ],
+)
+def test_eval_of_a_missing_literal_raises(entry, ast, error, message):
+    # a node whose literal is None is checked like any other literal
+    with pytest.raises(error) as exc:
         entry(ast)
     assert str(exc.value) == message
 
