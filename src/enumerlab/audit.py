@@ -23,10 +23,15 @@ Claim ids:
 C1, C3 and C8 hold their state in flat memory, int arrays and byte flags
 filled by map pipelines that run in C, never one Python object per node;
 C4 holds a count:
-  C1  reads each level k once from pairing.level_pairs into one int array,
-      m and n interleaved, and frees it before reading the next; the level
-      verifies when every m + n is 2^k - 1, no coordinate is negative, and
-      its m's leave none of 2^k flags unset, so its 2^k pairs are distinct
+  C1  reads each level k once from pairing.level_pairs, in slices of 2^12
+      pairs, each an int array of m and n interleaved and freed before the
+      next is read, and keeps only the m's of the slices that lie on the
+      level's anti-diagonal, in the narrowest unsigned array type that holds
+      k bits; the level verifies when every m + n is 2^k - 1, no coordinate
+      is negative, and its m's leave none of 2^k flags unset, so its 2^k
+      pairs are distinct.  A level of another length is an internal error,
+      raised before any witness; a witness is rebuilt from the kept m's,
+      with n = 2^k - 1 - m, and the first slice off the anti-diagonal
   C3  flags the ending of every enumerated path (through tree.path_to_addr)
       at its heap index 2^k + j in one bytearray over all lengths; indices
       2..2^(depth+1)-1 must all be set, and any other goes to a small set;
@@ -34,10 +39,11 @@ C4 holds a count:
   C4  counts the enumerated paths of each level 1..i and compares their
       running sum with node_count(i)
   C8  reads each of its 2^d rows once, as a d-bit nat_row block, into one
-      int array; width i verifies when the enumerated paths of length i,
-      read as ints, and the rows' low i bits each set all of 2^i flags, so
-      the rows list each key once; the sets of a witness are built only on
-      the way to a refutation
+      array of the narrowest unsigned type that holds d bits, so that a
+      block too wide for that type is an internal error; width i verifies
+      when the enumerated paths of length i, read as ints, and the rows'
+      low i bits each set all of 2^i flags, so the rows list each key
+      once; the sets of a witness are built only on the way to a refutation
 
 Each _CLAIMS row gives the items its claim examines at a depth, and
 run_claim checks them against the budget before the claim runs.
@@ -53,13 +59,14 @@ does not read back as stated raises AssertionError.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from array import array
 from collections import deque
 from contextlib import suppress
 from heapq import nsmallest
 from itertools import chain, filterfalse, islice, repeat
-from operator import add, and_, eq, itemgetter, setitem, xor
+from operator import add, and_, eq, itemgetter, setitem, sub, xor
 
 from . import bitseq, diagonal, listmatrix, pairing, tree
 from .budget import BudgetError, check_budget
@@ -83,6 +90,11 @@ REFUTED = "refuted"
 NOT_FINITELY_CHECKABLE = "not_finitely_checkable"
 
 _reversed = itemgetter(slice(None, None, -1))
+# the pairs C1 reads from a level at a time
+_SLICE = 1 << 12
+# item size n -> the n-byte items, of a slice of pairs read as n-byte items,
+# that hold the n low bytes of each pair's m
+_MS = {n: slice(0 if sys.byteorder == "little" else 8 // n - 1, None, 16 // n) for n in (1, 2, 4, 8)}
 
 
 class ClaimReport(Record):
@@ -131,25 +143,44 @@ def _claim_c1(depth: int) -> tuple[str, list]:
 
 
 def _c1_level(k: int) -> dict | None:
-    """The refutation at level k, or None when its 2^k pairs, read once into
-    one int array, all lie on the anti-diagonal of sum 2^k - 1 in N x N, where
-    m < 2^k fixes the pair, and have distinct m.  The witness is the first
-    node, in offset order, off that anti-diagonal or on an earlier node's pair."""
+    """The refutation at level k, or None when its 2^k pairs all lie on the
+    anti-diagonal of sum 2^k - 1 in N x N, where m < 2^k fixes the pair, and
+    have distinct m.  The level is read once, _SLICE pairs at a time, and
+    only the m's of the slices that lie on it are kept, k bits each; the
+    witness is the first node, in offset order, off that anti-diagonal or
+    on an earlier node's pair, rebuilt from them and the first slice off it."""
     size = 1 << k
-    flat = array("q", chain.from_iterable(pairing.level_pairs(k)))
-    if len(flat) != 2 * size:
+    coords = chain.from_iterable(pairing.level_pairs(k))
+    ms, off, length = array(_unsigned(k)), array("q"), 0
+    while flat := array("q", islice(coords, 2 * _SLICE)):
+        length += len(flat)
+        if not off:
+            with memoryview(flat) as view:
+                if all(map(eq, map(add, view[::2], view[1::2]), repeat(size - 1))) and min(flat) >= 0:
+                    # each m < 2^k is the low ms.itemsize bytes of its item,
+                    # copied in C with no int made
+                    ms.frombytes(view.cast("B").cast(ms.typecode)[_MS[ms.itemsize]].tobytes())
+                else:
+                    off = flat
+        del flat  # so that no two slices are held while the next is read
+    if length != 2 * size:
         raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
-    ms, ns = memoryview(flat)[::2], memoryview(flat)[1::2]
-    if all(map(eq, map(add, ms, ns), repeat(size - 1))) and min(flat) >= 0 and _covers(size, ms):
+    if not off and _covers(size, ms):
         return None
     first: dict[int, int] = {}
-    for j, (m, n) in enumerate(zip(ms, ns)):
+    pairs = chain(zip(ms, map(sub, repeat(size - 1), ms)), zip(off[::2], off[1::2]))
+    for j, (m, n) in enumerate(pairs):
         if m + n != size - 1 or m < 0 or n < 0:
             return {"node": [k, j], "pair": [m, n], "sum": m + n}
         i = first.setdefault(m, j)
         if i != j:
             return {"pair": [m, n], "node_a": [k, i], "node_b": [k, j]}
     raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
+
+
+def _unsigned(bits: int) -> str:
+    """The narrowest unsigned array type code whose items hold `bits` bits."""
+    return next((code for code in "BHI" if bits <= 8 * array(code).itemsize), "Q")
 
 
 def _covers(size: int, keys) -> bool:
@@ -177,17 +208,17 @@ def _claim_c2(depth: int) -> tuple[str, list]:
 def _claim_c3(depth: int) -> tuple[str, list]:
     # heap index 2^k + j: one key per node (k, j), since NodeAddr keeps j < 2^k
     paths = chain.from_iterable(map(tree.paths_at_depth, range(1, depth + 1)))
-    nodes = range(2, 2 << depth)
-    seen, extra = bytearray(2 << depth), set()
+    stop = 2 << depth
+    seen, extra = bytearray(stop), set()
     for a in map(tree.path_to_addr, paths):
         key = (1 << a.level) + a.offset
-        if key in nodes:
+        if 1 < key < stop:
             seen[key] = 1
         else:
             extra.add(key)
     if not extra and seen.find(0, 2) < 0:
         return VERIFIED, []
-    missing = islice(filterfalse(seen.__getitem__, nodes), 8)
+    missing = islice(filterfalse(seen.__getitem__, range(2, stop)), 8)
     return REFUTED, [{"missing": _c3_nodes(missing), "extra": _c3_nodes(nsmallest(8, extra))}]
 
 
@@ -261,7 +292,7 @@ def _claim_c7(depth: int) -> tuple[str, list]:
 def _claim_c8(depth: int) -> tuple[str, list]:
     # row r's first `depth` bits, packed least-significant-bit first, so
     # its length-i prefix is the low i bits; each row is read once
-    rows = array("Q")
+    rows = array(_unsigned(depth))
     for i in range(1, depth + 1):
         rows.extend(
             bitseq.nat_row(r).block(1, depth) for r in range(len(rows), 1 << i)

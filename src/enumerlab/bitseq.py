@@ -441,7 +441,7 @@ def prefix(s: BitSeq, n: int) -> str:
     """Bits 1..n as a string; prefix(s, 0) is empty."""
     if n < 0:
         raise ValueError(f"prefix length must be >= 0, got {_repr_or_hex(n)}")
-    return format(s.block(1, n), f"0{n}b")[::-1] if n else ""
+    return format(s.block(1, n), "b")[::-1].ljust(n, "0") if n else ""
 
 
 def dyadic_bounds(s: BitSeq, n: int) -> tuple[Fraction, Fraction]:

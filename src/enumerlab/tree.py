@@ -10,7 +10,8 @@ as linked nodes: all structure is index arithmetic.
 from __future__ import annotations
 
 from functools import partial
-from itertools import product, starmap
+from itertools import chain, cycle, product, repeat
+from operator import concat
 from typing import Iterator
 
 from .bitseq import BitSeq, prefix
@@ -39,10 +40,16 @@ def children(a: NodeAddr) -> tuple[NodeAddr, NodeAddr]:
 
 def path_to_addr(p: str) -> NodeAddr:
     """Endpoint of a finite root path; the empty path ends at the root."""
-    if p.strip("01"):
+    # str.isascii raises TypeError on anything but a str, bytes included; an
+    # ASCII digit string has no blank, sign, "_" or "0b" for int to accept,
+    # and int rejects the digits 2..9
+    if not (str.isascii(p) and (p.isdigit() or not p)):
         raise ValueError(f"bit string expected, got {p!r}")
     a = _new_addr()  # 0 <= int(p, 2) < 2^len(p): what __init__ would check
-    a._level, a._offset = len(p), int(p, 2) if p else 0
+    try:
+        a._level, a._offset = len(p), int(p or "0", 2)
+    except ValueError:
+        raise ValueError(f"bit string expected, got {p!r}") from None
     return a
 
 
@@ -58,14 +65,15 @@ def paths_at_depth(i: int) -> Iterator[str]:
 
     Each path is a high half of ceil(i/2) bits joined to a low half of
     floor(i/2) bits.  Only the two short lists of halves are built; the
-    paths come lazily from their product, high half outer, which is offset
-    order.  The budget is checked eagerly, before anything is built.
+    paths come lazily from operator.concat over each high half repeated
+    once per low half and the low halves cycled, high half outer, which is
+    offset order.  The budget is checked eagerly, before anything is built.
     """
     if i < 1:
         raise ValueError(f"path length must be >= 1, got {_repr_or_hex(i)}")
     check_budget(1 << i)
-    halves = [list(map("".join, product("01", repeat=n))) for n in (i - i // 2, i // 2)]
-    return starmap(str.__add__, product(*halves))
+    high, low = (list(map("".join, product("01", repeat=n))) for n in (i - i // 2, i // 2))
+    return map(concat, chain.from_iterable(map(repeat, high, repeat(len(low)))), cycle(low))
 
 
 def prefix_chain(s: BitSeq, n: int) -> list[str]:

@@ -333,6 +333,74 @@ def test_c1_level_of_wrong_length_is_internal_error(capsys, monkeypatch, change)
     )
 
 
+# C1 reads a level in slices of 2^12 pairs: witnesses whose pairs lie in
+# different slices, or in the first slice off the anti-diagonal
+@pytest.mark.parametrize(
+    "moves, witness",
+    [
+        ({(13, 4096): (13, 4095)}, {"pair": [4095, 4096], "node_a": [13, 4095], "node_b": [13, 4096]}),
+        ({(13, 5000): (13, 10)}, {"pair": [10, 8181], "node_a": [13, 10], "node_b": [13, 5000]}),
+        ({(13, 4095): (12, 0)}, {"node": [13, 4095], "pair": [0, 4095], "sum": 4095}),
+        ({(13, 4096): (12, 0)}, {"node": [13, 4096], "pair": [0, 4095], "sum": 4095}),
+        (
+            {(13, 4100): (13, 10), (13, 5000): (12, 0)},
+            {"pair": [10, 8181], "node_a": [13, 10], "node_b": [13, 4100]},
+        ),
+        (
+            {(13, 4100): (12, 0), (13, 5000): (13, 10)},
+            {"node": [13, 4100], "pair": [0, 4095], "sum": 4095},
+        ),
+        (
+            {(13, 4100): (13, 4097), (13, 4196): (12, 0)},
+            {"pair": [4097, 4094], "node_a": [13, 4097], "node_b": [13, 4100]},
+        ),
+        (
+            {(14, 5000): (14, 10), (14, 9000): (13, 0)},
+            {"pair": [10, 16373], "node_a": [14, 10], "node_b": [14, 5000]},
+        ),
+    ],
+    ids=[
+        "twin-across-4095-4096", "twin-across-10-5000", "off-at-4095", "off-at-4096",
+        "twin-before-off", "off-before-twin", "twins-in-the-off-slice", "off-slice-after-twin",
+    ],
+)
+def test_c1_witness_across_slices(monkeypatch, moves, witness):
+    real = pairing.level_pairs
+    levels_read = []
+
+    def level_pairs(k):
+        levels_read.append(k)
+        pairs = list(real(k))
+        for (level, j), (to_level, to_j) in moves.items():
+            if level == k:
+                pairs[j] = pairing.node_to_pair(pairing.NodeAddr(to_level, to_j))
+        return pairs
+
+    monkeypatch.setattr(pairing, "level_pairs", level_pairs)
+    r = run_claim("C1", 14)
+    assert (r.status, r.witnesses) == (REFUTED, [witness])
+    assert levels_read == list(range(witness.get("node", witness.get("node_b"))[0] + 1))
+
+
+@pytest.mark.parametrize(
+    "k, change",
+    [
+        (3, lambda pairs: pairs + [pairing.GridPair(0, 0)]),
+        (13, lambda pairs: [pairing.GridPair(0, 0)] + pairs[2:]),
+        (13, lambda pairs: pairs[:5] + [pairing.GridPair(0, 0)] + pairs[5:]),
+    ],
+    ids=["padded-off-pair", "one-short-off-in-first-slice", "off-pair-inserted"],
+)
+def test_c1_level_of_wrong_length_is_internal_error_before_any_witness(monkeypatch, k, change):
+    # the level holds a pair off its anti-diagonal, but its length is judged first
+    real = pairing.level_pairs
+    monkeypatch.setattr(
+        pairing, "level_pairs", lambda j: change(list(real(j))) if j == k else real(j)
+    )
+    with pytest.raises(RuntimeError, match=rf"^level_pairs\({k}\) does not list {1 << k} pairs$"):
+        run_claim("C1", 14)
+
+
 @pytest.mark.parametrize("claim_id", ["C3", "C4", "C8"])
 def test_enumerated_paths_are_the_oracle(monkeypatch, claim_id):
     # the enumerated path set is the independent half of each check: with
@@ -464,6 +532,23 @@ def test_c4_counts_every_enumerated_level(monkeypatch):
     assert (r.status, r.witnesses) == (REFUTED, [witness])
 
 
+def test_c8_row_block_too_wide_for_its_array_is_internal_error(capsys, monkeypatch):
+    # at depth 8 the rows are held in bytes: a block with a ninth bit set is
+    # a fault of the row, not a row to mask
+    real = bitseq.nat_row
+
+    def nat_row(r):
+        row = real(r)
+        return SimpleNamespace(block=lambda start, n: row.block(start, n) | 1 << 8) if r == 5 else row
+
+    monkeypatch.setattr(bitseq, "nat_row", nat_row)
+    with pytest.raises(OverflowError):
+        run_claim("C8", 8)
+    assert cli.dispatch(["audit", "--claim", "C8", "--depth", "8"]) == cli.EXIT_INTERNAL
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal error: OverflowError: ")
+
+
 def test_c8_checks_its_budget_before_reading_a_row(monkeypatch):
     monkeypatch.setenv("ENUMERLAB_BUDGET", "4096")
     real = bitseq.nat_row
@@ -495,6 +580,24 @@ def test_c8_holds_its_rows_and_one_width():
     # what C8 must hold at once: 2^14 row ints and the flags of the widest width
     held = _traced_peak(lambda: (array("Q", [0]) * (1 << 14), bytearray(1 << 14)))
     assert _traced_peak(lambda: run_claim("C8", 14)) <= 1.25 * held
+
+
+def test_c1_holds_its_columns_flags_and_one_slice():
+    # what C1 must hold at once at depth 14: the m of each pair of level 14
+    # in 16 bits, one flag per pair, and one slice of 2^12 pairs as 64-bit ints
+    held = _traced_peak(
+        lambda: (array("H", [0]) * (1 << 14), bytearray(1 << 14), array("q", [0]) * (2 << 12))
+    )
+    assert _traced_peak(lambda: run_claim("C1", 14)) <= 1.25 * held
+
+
+@pytest.mark.parametrize("depth, code", [(16, "H"), (17, "I")])
+def test_c8_holds_its_rows_in_depth_bits(depth, code):
+    # 16 bits per row up to depth 16, then 32, and the flags of the widest width
+    held = _traced_peak(lambda: (array(code, [0]) * (1 << depth), bytearray(1 << depth)))
+    reports = []
+    assert _traced_peak(lambda: reports.append(run_claim("C8", depth))) <= 1.25 * held
+    assert (reports[0].status, reports[0].witnesses) == (VERIFIED, [])
 
 
 # the two lists of path halves paths_at_depth(14) builds (about 17 KB) and

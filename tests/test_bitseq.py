@@ -396,6 +396,18 @@ def test_prefix_and_dyadic_bounds_per_bit(s, n):
     assert dyadic_bounds(s, n) == (low, low + Fraction(1, 2**n))
 
 
+@given(sequences, st.integers(min_value=0, max_value=2100))
+@example(zeros(), 1)
+@example(zeros(), 2048)
+@example(ones(), 1)
+@example(ones(), 64)
+@example(ones(), 2048)
+@example(nat_row(6), 2048)
+def test_prefix_matches_zero_padded_format(s, n):
+    # the spelling prefix had before: pad the block to n bits, then reverse
+    assert prefix(s, n) == (format(s.block(1, n), f"0{n}b")[::-1] if n else "")
+
+
 @given(bit_strings, sequences, sequences, st.integers(min_value=0, max_value=400))
 def test_eq_prefix_per_bit(common, a, b, n):
     a, b = prepend(common, a), prepend(common, b)

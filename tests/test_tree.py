@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -63,6 +65,38 @@ def test_path_to_addr_survives_a_wrapped_class(monkeypatch):
     assert type(a) is real and a == real(4, 6)
     with pytest.raises(ValueError, match=r"^bit string expected, got '012'$"):
         path_to_addr("012")
+
+
+def _path_to_addr_by_strip(p):
+    """path_to_addr as it read a path with str.strip: the reference."""
+    if p.strip("01"):
+        raise ValueError(f"bit string expected, got {p!r}")
+    return NodeAddr(len(p), int(p, 2) if p else 0)
+
+
+# pieces int(p, 2) accepts or rejects around a bit string: other digits,
+# ASCII and not, blanks, "_", signs and the "0b" prefix
+_PATH_PIECES = st.sampled_from(
+    ["0", "1", "2", "9", "\u0661", "\uff11", "\u00b2", " ", "\t", "\n", "\u00a0",
+     "_", "+", "-", "0b", "0B", ""]
+)
+
+
+@given(st.lists(_PATH_PIECES, max_size=8).map("".join))
+def test_path_to_addr_matches_the_strip_check(p):
+    try:
+        want = _path_to_addr_by_strip(p)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            path_to_addr(p)
+    else:
+        assert path_to_addr(p) == want
+
+
+@pytest.mark.parametrize("p", [b"01", b"", bytearray(b"1"), 5, None])
+def test_path_to_addr_rejects_what_is_not_a_str(p):
+    with pytest.raises(TypeError):
+        path_to_addr(p)
 
 
 def test_paths_at_depth_is_lazy():
