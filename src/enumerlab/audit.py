@@ -20,18 +20,16 @@ Claim ids:
   C9  the matrix lists every infinite path -- REFUTED: rows have finite support
   C10 closed-form row labels match the step-by-step walk count
 
-C1, C3 and C8 hold their state in flat memory, int arrays and byte flags
-filled by map pipelines that run in C, never one Python object per node;
-C4 holds a count:
-  C1  reads each level k once from pairing.level_pairs, in slices of 2^12
-      pairs, each an int array of m and n interleaved and freed before the
-      next is read, and keeps only the m's of the slices that lie on the
-      level's anti-diagonal, in the narrowest unsigned array type that holds
-      k bits; the level verifies when every m + n is 2^k - 1, no coordinate
-      is negative, and its m's leave none of 2^k flags unset, so its 2^k
-      pairs are distinct.  A level of another length is an internal error,
-      raised before any witness; a witness is rebuilt from the kept m's,
-      with n = 2^k - 1 - m, and the first slice off the anti-diagonal
+C1, C3 and C8 hold their state in flat memory, int arrays and byte flags,
+never one Python object per node; C3 and C8 fill theirs by map pipelines
+that run in C, and C4 holds a count:
+  C1  reads each level k once from pairing.level_pairs, in one plain loop
+      that keeps one flag per column and the m's in order, in an array of
+      2^k items of the narrowest unsigned type that holds k bits, sized
+      before the loop; the level verifies when every m + n is 2^k - 1, no
+      coordinate is negative and no m repeats, so its 2^k pairs are
+      distinct and cover every column.  A level of another length is an
+      internal error, raised before any witness
   C3  flags the ending of every enumerated path (through tree.path_to_addr)
       at its heap index 2^k + j in one bytearray over all lengths; indices
       2..2^(depth+1)-1 must all be set, and any other goes to a small set;
@@ -59,14 +57,13 @@ does not read back as stated raises AssertionError.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from array import array
 from collections import deque
 from contextlib import suppress
 from heapq import nsmallest
 from itertools import chain, filterfalse, islice, repeat
-from operator import add, and_, eq, itemgetter, setitem, sub, xor
+from operator import and_, itemgetter, setitem, xor
 
 from . import bitseq, diagonal, listmatrix, pairing, tree
 from .budget import BudgetError, check_budget
@@ -90,11 +87,6 @@ REFUTED = "refuted"
 NOT_FINITELY_CHECKABLE = "not_finitely_checkable"
 
 _reversed = itemgetter(slice(None, None, -1))
-# the pairs C1 reads from a level at a time
-_SLICE = 1 << 12
-# item size n -> the n-byte items, of a slice of pairs read as n-byte items,
-# that hold the n low bytes of each pair's m
-_MS = {n: slice(0 if sys.byteorder == "little" else 8 // n - 1, None, 16 // n) for n in (1, 2, 4, 8)}
 
 
 class ClaimReport(Record):
@@ -145,37 +137,29 @@ def _claim_c1(depth: int) -> tuple[str, list]:
 def _c1_level(k: int) -> dict | None:
     """The refutation at level k, or None when its 2^k pairs all lie on the
     anti-diagonal of sum 2^k - 1 in N x N, where m < 2^k fixes the pair, and
-    have distinct m.  The level is read once, _SLICE pairs at a time, and
-    only the m's of the slices that lie on it are kept, k bits each; the
-    witness is the first node, in offset order, off that anti-diagonal or
-    on an earlier node's pair, rebuilt from them and the first slice off it."""
+    have distinct m.  The level is read once, in one pass that keeps a flag
+    per column and the m's in offset order, in an array of 2^k items of k
+    bits sized before the pass, so that it is never grown and copied; the
+    witness is the first node, in offset order, off that anti-diagonal or on
+    an earlier node's pair.  The level's length is judged before any witness
+    is returned."""
     size = 1 << k
-    coords = chain.from_iterable(pairing.level_pairs(k))
-    ms, off, length = array(_unsigned(k)), array("q"), 0
-    while flat := array("q", islice(coords, 2 * _SLICE)):
-        length += len(flat)
-        if not off:
-            with memoryview(flat) as view:
-                if all(map(eq, map(add, view[::2], view[1::2]), repeat(size - 1))) and min(flat) >= 0:
-                    # each m < 2^k is the low ms.itemsize bytes of its item,
-                    # copied in C with no int made
-                    ms.frombytes(view.cast("B").cast(ms.typecode)[_MS[ms.itemsize]].tobytes())
-                else:
-                    off = flat
-        del flat  # so that no two slices are held while the next is read
-    if length != 2 * size:
-        raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
-    if not off and _covers(size, ms):
-        return None
-    first: dict[int, int] = {}
-    pairs = chain(zip(ms, map(sub, repeat(size - 1), ms)), zip(off[::2], off[1::2]))
+    pairs = iter(pairing.level_pairs(k))
+    flags, ms, witness, j = bytearray(size), array(_unsigned(k), [0]) * size, None, -1
     for j, (m, n) in enumerate(pairs):
         if m + n != size - 1 or m < 0 or n < 0:
-            return {"node": [k, j], "pair": [m, n], "sum": m + n}
-        i = first.setdefault(m, j)
-        if i != j:
-            return {"pair": [m, n], "node_a": [k, i], "node_b": [k, j]}
-    raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
+            witness = {"node": [k, j], "pair": [m, n], "sum": m + n}
+            break
+        if flags[m]:
+            witness = {"pair": [m, n], "node_a": [k, ms.index(m)], "node_b": [k, j]}
+            break
+        # 2^k pairs with distinct m < 2^k take every column, so a pair past
+        # them repeats an m or lies off the anti-diagonal: j < 2^k here
+        flags[m], ms[j] = 1, m
+    if j + 1 + sum(1 for _ in pairs) != size:
+        raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
+    # with no witness, the 2^k distinct m's in [0, 2^k) cover every column
+    return witness
 
 
 def _unsigned(bits: int) -> str:
@@ -330,7 +314,7 @@ def _claim_c9(depth: int) -> tuple[str, list]:
     positions = bytes(map(int.bit_length, map(xor, range(n_rows), range(1, n_rows + 1))))
     max_position = max(positions)
     rows = chain(range(min(8, n_rows)), [positions.index(max_position)])
-    witnesses = [_disagreement_witness(r, positions[r]) for r in rows]
+    witnesses = [{"row": r, "position": positions[r], "row_bit": 0, "ones_bit": 1} for r in rows]
     all_ones = bitseq.ones()
     for w in witnesses:
         if bitseq.eq_prefix(bitseq.nat_row(w["row"]), all_ones, w["position"]) != w["position"]:
@@ -348,10 +332,6 @@ def _claim_c9(depth: int) -> tuple[str, list]:
         }
     )
     return REFUTED, witnesses
-
-
-def _disagreement_witness(r: int, pos: int) -> dict:
-    return {"row": r, "position": pos, "row_bit": 0, "ones_bit": 1}
 
 
 def _claim_c10(depth: int) -> tuple[str, list]:

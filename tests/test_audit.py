@@ -333,8 +333,8 @@ def test_c1_level_of_wrong_length_is_internal_error(capsys, monkeypatch, change)
     )
 
 
-# C1 reads a level in slices of 2^12 pairs: witnesses whose pairs lie in
-# different slices, or in the first slice off the anti-diagonal
+# witnesses far apart in a level, at offsets on either side of 2^12, and a
+# twin and an off pair in the same level: the first in offset order wins
 @pytest.mark.parametrize(
     "moves, witness",
     [
@@ -361,10 +361,10 @@ def test_c1_level_of_wrong_length_is_internal_error(capsys, monkeypatch, change)
     ],
     ids=[
         "twin-across-4095-4096", "twin-across-10-5000", "off-at-4095", "off-at-4096",
-        "twin-before-off", "off-before-twin", "twins-in-the-off-slice", "off-slice-after-twin",
+        "twin-before-off", "off-before-twin", "twin-just-before-off", "twin-before-off-at-level-14",
     ],
 )
-def test_c1_witness_across_slices(monkeypatch, moves, witness):
+def test_c1_witness_far_apart_in_a_level(monkeypatch, moves, witness):
     real = pairing.level_pairs
     levels_read = []
 
@@ -569,26 +569,16 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_c1_holds_one_level_at_a_time():
-    # the one structure C1 must hold: the largest level as 2 * 2^14 ints in
-    # one array, and one flag per pair
-    level = _traced_peak(lambda: (array("q", [0]) * (2 << 14), bytearray(1 << 14)))
-    assert _traced_peak(lambda: run_claim("C1", 14)) <= 1.25 * level
-
-
-def test_c8_holds_its_rows_and_one_width():
-    # what C8 must hold at once: 2^14 row ints and the flags of the widest width
-    held = _traced_peak(lambda: (array("Q", [0]) * (1 << 14), bytearray(1 << 14)))
-    assert _traced_peak(lambda: run_claim("C8", 14)) <= 1.25 * held
-
-
-def test_c1_holds_its_columns_flags_and_one_slice():
-    # what C1 must hold at once at depth 14: the m of each pair of level 14
-    # in 16 bits, one flag per pair, and one slice of 2^12 pairs as 64-bit ints
+@pytest.mark.parametrize("depth", [14, 15, 17])
+def test_c1_holds_its_columns_and_flags(depth):
+    # what C1 must hold at once: the m of each pair of level `depth`, in the
+    # narrowest unsigned type for `depth` bits, and one flag per column
     held = _traced_peak(
-        lambda: (array("H", [0]) * (1 << 14), bytearray(1 << 14), array("q", [0]) * (2 << 12))
+        lambda: (array(audit._unsigned(depth), [0]) * (1 << depth), bytearray(1 << depth))
     )
-    assert _traced_peak(lambda: run_claim("C1", 14)) <= 1.25 * held
+    reports = []
+    assert _traced_peak(lambda: reports.append(run_claim("C1", depth))) <= 1.25 * held
+    assert (reports[0].status, reports[0].witnesses) == (VERIFIED, [])
 
 
 @pytest.mark.parametrize("depth, code", [(16, "H"), (17, "I")])
@@ -598,6 +588,16 @@ def test_c8_holds_its_rows_in_depth_bits(depth, code):
     reports = []
     assert _traced_peak(lambda: reports.append(run_claim("C8", depth))) <= 1.25 * held
     assert (reports[0].status, reports[0].witnesses) == (VERIFIED, [])
+
+
+def test_c8_holds_its_rows_flags_and_path_halves_at_depth_14():
+    # at depth 14 the two lists of path halves that paths_at_depth(14) builds
+    # for the oracle add a third to the rows and flags, more than the 1.25
+    # allowance covers, so they are counted with the 16-bit rows and flags
+    held = _traced_peak(
+        lambda: (array("H", [0]) * (1 << 14), bytearray(1 << 14), tree.paths_at_depth(14))
+    )
+    assert _traced_peak(lambda: run_claim("C8", 14)) <= 1.25 * held
 
 
 # the two lists of path halves paths_at_depth(14) builds (about 17 KB) and
