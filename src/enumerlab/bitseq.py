@@ -460,15 +460,16 @@ def eq_prefix(a: BitSeq, b: BitSeq, n: int) -> int | None:
     """Least position i <= n where a and b differ, or None if the length-n
     prefixes agree.
 
-    Reads in chunks that double what has been read so far (64 bits first),
-    so a difference at position p costs at most 2 * max(p, 64) bits per
-    side, and nothing past position n is ever read.
+    Each read runs from the first unread position s to min(n, 2 * max(s,
+    64)), so a difference at position p costs at most 2 * max(p, 64) bits
+    per side, the fewest reads that bound allows, and nothing past position
+    n is ever read.
     """
     if n < 0:
         raise ValueError(f"compared length n must be >= 0, got {_repr_or_hex(n)}")
     start = 1
     while start <= n:
-        size = min(max(64, start - 1), n - start + 1)
+        size = min(n, 2 * max(start, 64)) - start + 1
         diff = a.block(start, size) ^ b.block(start, size)
         if diff:
             return start + (diff & -diff).bit_length() - 1

@@ -442,6 +442,23 @@ def test_eq_prefix_reads_at_most_twice_the_difference_position(p, extra):
     assert reads[0] == reads[1] <= 2 * max(p, 64)
 
 
+@pytest.mark.parametrize("n, reads", [(64, 1), (100, 1), (2048, 5)])
+def test_eq_prefix_reads_each_side_in_the_fewest_blocks(monkeypatch, n, reads):
+    # reads ending at 128, 258, 518, 1038 and 2048 at n = 2048, each twice
+    # as far as where it starts (at least 64): the farthest that a
+    # difference at its first position allows
+    calls = {}
+
+    def block(self, start, size, block=BitSeq.block):
+        calls[id(self)] = calls.get(id(self), 0) + 1
+        return block(self, start, size)
+
+    monkeypatch.setattr(BitSeq, "block", block)
+    a, b = ones(), ones()
+    assert eq_prefix(a, b, n) is None
+    assert calls == {id(a): reads, id(b): reads}
+
+
 @given(positions, st.integers(min_value=0, max_value=5000))
 def test_eq_prefix_reads_nothing_past_n(n, beyond):
     a, b, reads = counting_pair(n + 1 + beyond)

@@ -270,14 +270,26 @@ def test_big_ints_match_the_product_forms(bits):
             assert zigzag_decode(i) == decode_by_isqrt(i)
 
 
+@pytest.mark.parametrize("bits", [1 << 18, 1 << 19, 1 << 20])
+def test_decodes_past_the_division_base_match_the_isqrt_form(bits):
+    # a random i, and the first and last walk positions of its diagonal
+    i = random.Random(bits).getrandbits(bits) | 1 << (bits - 1)
+    p = zigzag_decode(i)
+    d = p.m + p.n
+    for j in (i, triangular_by_product(d), triangular_by_product(d + 1) - 1):
+        assert zigzag_decode(j) == decode_by_isqrt(j)
+
+
 def sqrtrem_cases():
     """Bit lengths: small ones, each side of the base-case limit, every
-    length mod 4 above it, and the powers of 2 up to 2^19 with their
-    neighbours."""
-    limit = pairing._SQRT_BASE_BITS
+    length mod 4 above it, the lengths whose division has a divisor on each
+    side of the recursive division's base, and the powers of 2 up to 2^20,
+    with their neighbours up to 2^18."""
+    limit, div_limit = pairing._SQRT_BASE_BITS, pairing._DIV_BASE_BITS
     return sorted(
         {*range(1, 70), *range(limit - 4, limit + 5), *range(4 * limit, 4 * limit + 4)}
-        | {(1 << e) + j for e in range(12, 19) for j in range(-1, 3)} | {1 << 19}
+        | {*range(4 * div_limit - 12, 4 * div_limit + 9)}
+        | {(1 << e) + j for e in range(12, 19) for j in range(-1, 3)} | {1 << 19, 1 << 20}
     )
 
 
@@ -312,6 +324,60 @@ def test_decode_keeps_isqrt_within_the_base_case(monkeypatch):
         i = rng.getrandbits(bits) | 1 << (bits - 1)
         assert zigzag_encode(zigzag_decode(i)) == i
     assert sizes and max(sizes) <= pairing._SQRT_BASE_BITS
+
+
+def test_decode_keeps_divmod_below_the_division_base(monkeypatch):
+    divisors = []
+
+    def recording(a, b, _divmod=pairing._divmod):
+        divisors.append(b.bit_length())
+        return _divmod(a, b)
+
+    monkeypatch.setattr(pairing, "_divmod", recording)
+    rng = random.Random(15)
+    # up to 2^14 bits, and the longest i whose first halving splits 8i + 1
+    # into quarters shorter than the base
+    for bits in (1 << 11, 1 << 13, 1 << 14, 4 * pairing._DIV_BASE_BITS - 5):
+        i = rng.getrandbits(bits) | 1 << (bits - 1)
+        assert zigzag_encode(zigzag_decode(i)) == i
+    assert divisors == []
+    # a 2^16-bit i divides by a divisor of at least the base, and the
+    # recursion divides by shorter ones
+    i = rng.getrandbits(1 << 16) | 1 << ((1 << 16) - 1)
+    assert zigzag_encode(zigzag_decode(i)) == i
+    assert min(divisors) < pairing._DIV_BASE_BITS <= max(divisors)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [pairing._DIV_BASE_BITS + j for j in range(-2, 2)]
+    + [2 * pairing._DIV_BASE_BITS, 2 * pairing._DIV_BASE_BITS + 1],
+)
+def test_divmod_matches_the_builtin(n):
+    # divisor lengths on each side of the base, odd and even, and at twice
+    # the base (two levels of recursion); for a random b and a power of two:
+    # a random a whose quotient fits in b's width, the largest such a,
+    # b * 2^n - 1, an a whose quotient is one bit too wide (the fallback),
+    # a < b and a = 0
+    rng = random.Random(n)
+    for b in (rng.getrandbits(n) | 1 << (n - 1), 1 << (n - 1)):
+        for a in (rng.randrange(b << n), (b << n) - 1, b << n, b - 1, 0):
+            assert pairing._divmod(a, b) == divmod(a, b)
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 1300),
+    st.integers(min_value=1, max_value=1 << 640),
+    st.sampled_from([2, 3, 8, 33, 64]),
+)
+def test_divmod_matches_the_builtin_at_any_base(a, b, base):
+    # a base far below the real one sends small draws through every level
+    # of the recursion; a is taken as drawn (often the fallback) and reduced
+    # below b * 2^n, where the recursion runs
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pairing, "_DIV_BASE_BITS", base)
+        for x in (a, a % (b << b.bit_length())):
+            assert pairing._divmod(x, b) == divmod(x, b)
 
 
 def test_negative_inputs_rejected():
