@@ -23,25 +23,30 @@ Claim ids:
 C1, C3 and C8 hold their state in flat memory, int arrays and byte flags,
 never one Python object per node; C3 and C8 fill theirs by map pipelines
 that run in C, and C4 holds a count:
-  C1  reads each level k once from pairing.level_pairs, in one plain loop
-      that keeps one flag per column and the m's in order, in an array of
-      2^k items of the narrowest unsigned type that holds k bits, sized
-      before the loop; the level verifies when every m + n is 2^k - 1, no
-      coordinate is negative and no m repeats, so its 2^k pairs are
-      distinct and cover every column.  A level of another length is an
-      internal error, raised before any witness
+  C1  reads each level k once from pairing.level_pairs and compares it in
+      C with its expected pairs (j, 2^k - 1 - j), j = 0, 1, ...: a level
+      equal to them, pair by pair and in length, verifies with no array
+      and no flags.  From the first pair that differs, a plain loop scans
+      the same sequence, the matched prefix rebuilt from range, keeping one
+      flag per column and the m's in order, in an array of 2^k items of the
+      narrowest unsigned type that holds k bits; the level verifies when
+      every m + n is 2^k - 1, no coordinate is negative and no m repeats,
+      so its 2^k pairs are distinct and cover every column.  A level of
+      another length is an internal error, raised before any witness
   C3  flags the ending of every enumerated path (through tree.path_to_addr)
-      at its heap index 2^k + j in one bytearray over all lengths; indices
-      2..2^(depth+1)-1 must all be set, and any other goes to a small set;
-      witnesses are the 8 smallest missing and extra keys
+      at its heap index 2^k + j, read from the node's slots, in one
+      bytearray over all lengths; indices 2..2^(depth+1)-1 must all be
+      set, and any other goes to a small set; witnesses are the 8 smallest
+      missing and extra keys
   C4  counts the enumerated paths of each level 1..i and compares their
       running sum with node_count(i)
   C8  reads each of its 2^d rows once, as a d-bit nat_row block, into one
-      array of the narrowest unsigned type that holds d bits, so that a
-      block too wide for that type is an internal error; width i verifies
-      when the enumerated paths of length i, read as ints, and the rows'
-      low i bits each set all of 2^i flags, so the rows list each key
-      once; the sets of a witness are built only on the way to a refutation
+      array of the narrowest unsigned type that holds d bits, sized for all
+      2^d rows before the first read, so that a block too wide for that
+      type is an internal error; width i verifies when the enumerated
+      paths of length i, read as ints, and the low i bits of the first 2^i
+      rows each set all of 2^i flags, so the rows list each key once; the
+      sets of a witness are built only on the way to a refutation
 
 Each _CLAIMS row gives the items its claim examines at a depth, and
 run_claim checks them against the budget before the claim runs.
@@ -62,8 +67,8 @@ from array import array
 from collections import deque
 from contextlib import suppress
 from heapq import nsmallest
-from itertools import chain, filterfalse, islice, repeat
-from operator import and_, itemgetter, setitem, xor
+from itertools import chain, compress, filterfalse, islice, repeat, tee
+from operator import and_, itemgetter, ne, setitem, xor
 
 from . import bitseq, diagonal, listmatrix, pairing, tree
 from .budget import BudgetError, check_budget
@@ -137,14 +142,27 @@ def _claim_c1(depth: int) -> tuple[str, list]:
 def _c1_level(k: int) -> dict | None:
     """The refutation at level k, or None when its 2^k pairs all lie on the
     anti-diagonal of sum 2^k - 1 in N x N, where m < 2^k fixes the pair, and
-    have distinct m.  The level is read once, in one pass that keeps a flag
-    per column and the m's in offset order, in an array of 2^k items of k
-    bits sized before the pass, so that it is never grown and copied; the
-    witness is the first node, in offset order, off that anti-diagonal or on
-    an earlier node's pair.  The level's length is judged before any witness
-    is returned."""
+    have distinct m.  The level is read once, first compared in C with its
+    pairs (j, 2^k - 1 - j): equal to them in every pair and in length, it
+    verifies with no array.  From the first pair that differs, the scan
+    reads the same sequence, the matched prefix rebuilt from range; it keeps
+    a flag per column and the m's in offset order, in an array of k-bit
+    items sized before it starts, and its witness is the first node, in
+    offset order, off that anti-diagonal or on an earlier node's pair.  The
+    level's length is judged before any witness is returned."""
     size = 1 << k
-    pairs = iter(pairing.level_pairs(k))
+    end = object()  # past the expected pairs, equal to no pair
+    expected = chain(zip(range(size), reversed(range(size))), repeat(end))
+    level, ahead = tee(pairing.level_pairs(k))
+    first = next(compress(enumerate(level), map(ne, expected, ahead)), None)
+    del ahead  # level reads on alone: a live twin would buffer the rest of the level
+    if first is None:
+        # every pair matched: the level is its 2^k pairs if they ended too
+        if next(expected) is end:
+            return None
+        raise RuntimeError(f"level_pairs({k}) does not list {size} pairs")
+    j, pair = first
+    pairs = chain(zip(range(j), reversed(range(size - j, size))), [pair], level)
     flags, ms, witness, j = bytearray(size), array(_unsigned(k), [0]) * size, None, -1
     for j, (m, n) in enumerate(pairs):
         if m + n != size - 1 or m < 0 or n < 0:
@@ -190,12 +208,13 @@ def _claim_c2(depth: int) -> tuple[str, list]:
 
 
 def _claim_c3(depth: int) -> tuple[str, list]:
-    # heap index 2^k + j: one key per node (k, j), since NodeAddr keeps j < 2^k
+    # heap index 2^k + j: one key per node (k, j), since NodeAddr keeps
+    # j < 2^k; read from the slots, as each property call costs about 65 ns
     paths = chain.from_iterable(map(tree.paths_at_depth, range(1, depth + 1)))
     stop = 2 << depth
     seen, extra = bytearray(stop), set()
     for a in map(tree.path_to_addr, paths):
-        key = (1 << a.level) + a.offset
+        key = (1 << a._level) + a._offset
         if 1 < key < stop:
             seen[key] = 1
         else:
@@ -275,19 +294,21 @@ def _claim_c7(depth: int) -> tuple[str, list]:
 
 def _claim_c8(depth: int) -> tuple[str, list]:
     # row r's first `depth` bits, packed least-significant-bit first, so
-    # its length-i prefix is the low i bits; each row is read once
-    rows = array(_unsigned(depth))
+    # its length-i prefix is the low i bits; each row is read once, into
+    # the array sized for all 2^depth rows before the first read, so that
+    # it is never grown and copied
+    rows, read = array(_unsigned(depth), [0]) * (1 << depth), 0
     for i in range(1, depth + 1):
-        rows.extend(
-            bitseq.nat_row(r).block(1, depth) for r in range(len(rows), 1 << i)
-        )
-        witness = _c8_width(rows, i)
+        for r in range(read, 1 << i):
+            rows[r] = bitseq.nat_row(r).block(1, depth)
+        read = 1 << i
+        witness = _c8_width(memoryview(rows)[:read], i)
         if witness is not None:
             return REFUTED, [witness]
     return VERIFIED, []
 
 
-def _c8_width(rows: array, i: int) -> dict | None:
+def _c8_width(rows: memoryview, i: int) -> dict | None:
     """The refutation at width i, or None when the keys of the enumerated
     paths of length i, bit strings read as ints, and the low i bits of the
     2^i rows each take all 2^i values: then the rows list each key exactly

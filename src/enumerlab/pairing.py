@@ -24,9 +24,9 @@ is read from the low bit, never by division.
 from __future__ import annotations
 
 import math
-from functools import partial
-from itertools import count
-from typing import Iterator, NamedTuple
+from itertools import count, repeat
+from types import MethodType
+from typing import Iterable, Iterator, NamedTuple
 
 from .budget import check_budget
 from .record import Record, _repr_or_hex
@@ -55,11 +55,19 @@ class GridPair(NamedTuple):
         return f"GridPair(m={_repr_or_hex(self.m)}, n={_repr_or_hex(self.n)})"
 
 
-# a GridPair from an (m, n) tuple, built in C without the Python-level
-# __new__; every pair the library builds goes through it.  Bound once here,
-# because perfbench's tracer rebinds the module name GridPair to a plain
-# function, which tuple.__new__ rejects as a type
-_new_pair = partial(tuple.__new__, GridPair)
+# a GridPair from an (m, n) tuple: tuple.__new__ of the class, built in C
+# without the Python-level __new__.  Every pair the library builds is made
+# so, one at a time by this bound method, many at once by _pairs.  The class
+# is bound here once, at import, because perfbench's tracer rebinds the
+# module name GridPair to a plain function, which tuple.__new__ rejects as a
+# type; a method object is no class, so the tracer leaves it bound
+_new_pair = MethodType(tuple.__new__, GridPair)
+
+
+def _pairs(ms: Iterable[int], ns: Iterable[int]) -> Iterator[GridPair]:
+    """The GridPairs of two coordinate streams, zipped: tuple.__new__ mapped
+    over the class, so no wrapper is called per pair."""
+    return map(tuple.__new__, repeat(_new_pair.__self__), zip(ms, ns))
 
 
 class NodeAddr(Record):
@@ -190,7 +198,7 @@ def zigzag_walk() -> Iterator[GridPair]:
     """
     for d in count():
         up, down = range(d + 1), reversed(range(d + 1))
-        yield from map(_new_pair, zip(up, down) if d % 2 == 0 else zip(down, up))
+        yield from _pairs(up, down) if d % 2 == 0 else _pairs(down, up)
 
 
 def level_pairs(k: int) -> Iterator[GridPair]:
@@ -204,7 +212,7 @@ def level_pairs(k: int) -> Iterator[GridPair]:
         raise ValueError(f"level must be >= 0, got {_repr_or_hex(k)}")
     size = 1 << k
     check_budget(size)
-    return map(_new_pair, zip(range(size), reversed(range(size))))
+    return _pairs(range(size), reversed(range(size)))
 
 
 def node_to_pair(a: NodeAddr) -> GridPair:

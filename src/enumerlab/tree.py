@@ -28,7 +28,8 @@ __all__ = [
     "node_count",
 ]
 
-# a NodeAddr made without __init__, bound once for the reason of pairing._new_pair
+# a NodeAddr made without __init__; the class is bound once, at import, for
+# the reason pairing._new_pair binds GridPair: the tracer rebinds names
 _new_addr = partial(object.__new__, NodeAddr)
 
 

@@ -29,11 +29,13 @@ def test_walk_table_and_roundtrip_speed():
         table = [(0, 0), (1, 0), (0, 1), (0, 2), (1, 1), (2, 0), (3, 0)]
         for i, (m, n) in enumerate(table):
             assert pairing.zigzag_encode(GridPair(m, n)) == i
-        start = time.perf_counter()
+        # CPU time of this process, so that other work on a shared host,
+        # which stretches the wall clock, does not count against the bound
+        start = time.process_time()
         enc, dec = pairing.zigzag_encode, pairing.zigzag_decode
         for i in range(10**6):
             assert enc(dec(i)) == i
-        assert time.perf_counter() - start < 2.0
+        assert time.process_time() - start < 2.0
 
 
 def test_level_pair_lists_verbatim():
